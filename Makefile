@@ -51,18 +51,23 @@ fmt-check:
 .PHONY: check
 check: fmt-check vet lint build test race bench-gate integration
 
+# The packages of the micro-benchmark trajectory: the scheduler's per-task
+# costs and the tile kernels' per-call costs.
+BENCH_PKGS = ./internal/core ./internal/blas
+
 .PHONY: bench
 bench:
-	$(GO) test -bench=. -benchtime=1x ./internal/core
+	$(GO) test -bench=. -benchtime=1x $(BENCH_PKGS)
 
-# bench-json records the core benchmark trajectory: it runs the scheduler
-# benchmarks with allocation counts and writes BENCH_<n>.json (next free n)
-# via cmd/xkbenchjson, so perf is comparable PR to PR. Non-gating in CI.
+# bench-json records the micro-benchmark trajectory: it runs the scheduler
+# and kernel benchmarks with allocation counts and writes BENCH_<n>.json
+# (next free n) via cmd/xkbenchjson, so perf is comparable PR to PR.
+# Non-gating in CI.
 # Time-based benchtime: iteration-count runs are dominated by warmup noise
 # and would make the trajectory useless for spotting regressions.
 .PHONY: bench-json
 bench-json:
-	$(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' ./internal/core | $(GO) run ./cmd/xkbenchjson
+	$(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson
 
 # bench-gate is the gating benchmark smoke: a fast fixed-iteration run
 # (-benchtime=100x, so it costs seconds per PR) whose allocs/op — which is
@@ -75,7 +80,7 @@ bench-json:
 # the 1s bench-json runs do.
 .PHONY: bench-gate
 bench-gate:
-	$(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' ./internal/core | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
+	$(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
 
 # bench-diff compares the two most recent BENCH_<n>.json artifacts with
 # xkbenchjson's diff mode and prints the per-benchmark delta table. The

@@ -34,8 +34,11 @@ func TestEvalGatesBudgets(t *testing.T) {
 }
 
 func TestEvalGatesPasses(t *testing.T) {
-	gates := &GateFile{AllocsPerOp: map[string]int64{"BenchmarkForEach": 1}}
-	results := []BenchResult{{Name: "BenchmarkForEach-4", AllocsPerOp: 1}}
+	gates := &GateFile{AllocsPerOp: map[string]int64{"BenchmarkForEach": 1, "BenchmarkGemmNT/n=128": 0}}
+	results := []BenchResult{
+		{Name: "BenchmarkForEach-4", AllocsPerOp: 1},
+		{Name: "BenchmarkGemmNT/n=128-4"}, // a sub-benchmark is gated under its full name
+	}
 	if failures, _ := evalGates(gates, results, nil); len(failures) != 0 {
 		t.Errorf("failures = %v, want none (at budget is within budget)", failures)
 	}

@@ -19,6 +19,14 @@ func TestParseBenchLine(t *testing.T) {
 				BytesPerOp: 24, AllocsPerOp: 1},
 			ok: true,
 		},
+		{
+			// A sub-benchmark that calls b.SetBytes: the name keeps its
+			// "/n=128" and the MB/s column is skipped, not mistaken for B/op.
+			line: "BenchmarkGemmNT/n=128-2  8094  161375 ns/op  2436.67 MB/s  16 B/op  2 allocs/op",
+			want: BenchResult{Name: "BenchmarkGemmNT/n=128-2", Iterations: 8094, NsPerOp: 161375,
+				BytesPerOp: 16, AllocsPerOp: 2},
+			ok: true,
+		},
 		{line: "goos: linux", ok: false},
 		{line: "PASS", ok: false},
 		{line: "ok  \txkaapi/internal/core\t2.153s", ok: false},

@@ -47,9 +47,13 @@ func BenchmarkTrsmRLTN(b *testing.B) {
 	if err := PotrfLower(n, l, n); err != nil {
 		b.Fatal(err)
 	}
-	bb := randMat(&rng, n*n)
+	src := randMat(&rng, n*n)
+	bb := make([]float64, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Solved in place again and again, B would shrink into the
+		// denormals within a few hundred iterations.
+		copy(bb, src)
 		TrsmRLTN(n, n, l, n, bb, n)
 	}
 }

@@ -84,36 +84,50 @@ func TestStaticFactorsCorrectly(t *testing.T) {
 	}
 }
 
+// Same input, same kernel sequence per tile → bitwise equal factors from
+// every scheduler. The tile sizes cover the kernels' paths: 16 and 52 are
+// whole micro-blocks (52 with a ragged last tile of 44), 54 leaves two
+// columns over in every tile and makes the last one 39 rows, an odd count.
 func TestAllSchedulersAgree(t *testing.T) {
-	d, ref := spdTiled(64, 16)
-	if err := Seq(ref); err != nil {
-		t.Fatal(err)
-	}
 	rt := xkaapi.New(xkaapi.WithWorkers(3))
 	defer rt.Close()
-	_, tk := spdTiled(64, 16)
-	if err := Kaapi(rt, tk); err != nil {
-		t.Fatal(err)
+	qn := quark.New(3, quark.EngineNative)
+	defer qn.Delete()
+	qk := quark.New(3, quark.EngineKaapi)
+	defer qk.Delete()
+	schedulers := []struct {
+		name   string
+		factor func(*tile.Tiled) error
+	}{
+		{"kaapi", func(tl *tile.Tiled) error { return Kaapi(rt, tl) }},
+		{"quark native", func(tl *tile.Tiled) error { return RunQuark(qn, tl) }},
+		{"quark kaapi", func(tl *tile.Tiled) error { return RunQuark(qk, tl) }},
+		{"static", func(tl *tile.Tiled) error { return Static(3, tl) }},
 	}
-	_, ts := spdTiled(64, 16)
-	if err := Static(3, ts); err != nil {
-		t.Fatal(err)
-	}
-	// Same input, same kernel sequence per tile → bitwise equal factors.
-	for bi := 0; bi < ref.NT; bi++ {
-		for bj := 0; bj <= bi; bj++ {
-			rtile, ktile, stile := ref.Tile(bi, bj), tk.Tile(bi, bj), ts.Tile(bi, bj)
-			for x := range rtile {
-				if rtile[x] != ktile[x] {
-					t.Fatalf("kaapi tile (%d,%d) differs at %d", bi, bj, x)
-				}
-				if rtile[x] != stile[x] {
-					t.Fatalf("static tile (%d,%d) differs at %d", bi, bj, x)
+	for _, cfg := range [][2]int{{64, 16}, {200, 52}, {201, 54}} {
+		n, nb := cfg[0], cfg[1]
+		d, ref := spdTiled(n, nb)
+		if err := Seq(ref); err != nil {
+			t.Fatal(err)
+		}
+		if r := tile.CholeskyResidual(d, ref); r > residTol {
+			t.Fatalf("n=%d nb=%d: residual %g", n, nb, r)
+		}
+		for _, s := range schedulers {
+			_, tl := spdTiled(n, nb)
+			if err := s.factor(tl); err != nil {
+				t.Fatalf("%s n=%d nb=%d: %v", s.name, n, nb, err)
+			}
+			for i, rtile := range ref.T {
+				for x := range rtile {
+					if rtile[x] != tl.T[i][x] {
+						t.Fatalf("%s n=%d nb=%d: tile (%d,%d) differs from Seq at %d",
+							s.name, n, nb, i/ref.NT, i%ref.NT, x)
+					}
 				}
 			}
 		}
 	}
-	_ = d
 }
 
 func TestNotSPDPropagates(t *testing.T) {

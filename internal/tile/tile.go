@@ -63,13 +63,17 @@ type Tiled struct {
 	T  [][]float64
 }
 
-// NewTiled allocates a zero tiled matrix of order n with tile size nb.
+// NewTiled allocates a zero tiled matrix of order n with tile size nb. The
+// tiles are carved from one allocation, each capped at its own NB×NB
+// elements.
 func NewTiled(n, nb int) *Tiled {
 	nt := (n + nb - 1) / nb
 	t := &Tiled{N: n, NB: nb, NT: nt, T: make([][]float64, nt*nt)}
+	sz := nb * nb
+	buf := make([]float64, nt*(nt+1)/2*sz)
 	for i := 0; i < nt; i++ {
 		for j := 0; j <= i; j++ {
-			t.T[i*nt+j] = make([]float64, nb*nb)
+			t.T[i*nt+j], buf = buf[:sz:sz], buf[sz:]
 		}
 	}
 	return t
@@ -86,43 +90,35 @@ func (t *Tiled) Rows(i int) int {
 // Tile returns tile (i,j), j <= i.
 func (t *Tiled) Tile(i, j int) []float64 { return t.T[i*t.NT+j] }
 
-// FromDense packs the lower triangle (incl. diagonal) of d into tiles.
-func FromDense(d *Dense, nb int) *Tiled {
-	t := NewTiled(d.N, nb)
+// eachRow calls f once per stored row of every tile with the row's elements
+// in the tile and the same elements in d: whole rows of the tiles below the
+// diagonal, the entries up to the diagonal of the tiles on it.
+func (t *Tiled) eachRow(d *Dense, f func(tileRow, denseRow []float64)) {
+	nb := t.NB
 	for bi := 0; bi < t.NT; bi++ {
 		for bj := 0; bj <= bi; bj++ {
 			tb := t.Tile(bi, bj)
 			for i := 0; i < t.Rows(bi); i++ {
-				gi := bi*nb + i
-				for j := 0; j < t.Rows(bj); j++ {
-					gj := bj*nb + j
-					if gj <= gi {
-						tb[i*nb+j] = d.At(gi, gj)
-					}
-				}
+				gi, gj := bi*nb+i, bj*nb
+				w := min(t.Rows(bj), gi-gj+1)
+				f(tb[i*nb:i*nb+w], d.A[gi*d.N+gj:gi*d.N+gj+w])
 			}
 		}
 	}
+}
+
+// FromDense packs the lower triangle (incl. diagonal) of d into tiles. The
+// strict upper triangle of the diagonal tiles stays zero.
+func FromDense(d *Dense, nb int) *Tiled {
+	t := NewTiled(d.N, nb)
+	t.eachRow(d, func(tileRow, denseRow []float64) { copy(tileRow, denseRow) })
 	return t
 }
 
 // ToDense unpacks the lower triangle into a dense matrix (upper left zero).
 func (t *Tiled) ToDense() *Dense {
 	d := NewDense(t.N)
-	for bi := 0; bi < t.NT; bi++ {
-		for bj := 0; bj <= bi; bj++ {
-			tb := t.Tile(bi, bj)
-			for i := 0; i < t.Rows(bi); i++ {
-				gi := bi*t.NB + i
-				for j := 0; j < t.Rows(bj); j++ {
-					gj := bj*t.NB + j
-					if gj <= gi {
-						d.Set(gi, gj, tb[i*t.NB+j])
-					}
-				}
-			}
-		}
-	}
+	t.eachRow(d, func(tileRow, denseRow []float64) { copy(denseRow, tileRow) })
 	return d
 }
 

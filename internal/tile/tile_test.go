@@ -41,6 +41,40 @@ func TestFromToDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// Every element of every tile, against the definition: the lower triangle
+// of d where the tile covers it, zero everywhere else (the strict upper
+// triangle of the diagonal tiles and the padding of the ragged edge, which
+// the benchmark's tile checksum sums over).
+func TestFromDenseLayout(t *testing.T) {
+	for _, cfg := range [][2]int{{16, 4}, {17, 4}, {30, 8}, {5, 8}, {33, 32}} {
+		n, nb := cfg[0], cfg[1]
+		d := NewSPD(n, 7)
+		tl := FromDense(d, nb)
+		for bi := 0; bi < tl.NT; bi++ {
+			for bj := 0; bj <= bi; bj++ {
+				tb := tl.Tile(bi, bj)
+				if len(tb) != nb*nb || cap(tb) != nb*nb {
+					t.Fatalf("n=%d nb=%d: tile (%d,%d) has len %d cap %d, want both %d",
+						n, nb, bi, bj, len(tb), cap(tb), nb*nb)
+				}
+				for i := 0; i < nb; i++ {
+					for j := 0; j < nb; j++ {
+						gi, gj := bi*nb+i, bj*nb+j
+						want := 0.0
+						if gi < n && gj <= gi {
+							want = d.At(gi, gj)
+						}
+						if tb[i*nb+j] != want {
+							t.Fatalf("n=%d nb=%d: tile (%d,%d) element (%d,%d) is %g, want %g",
+								n, nb, bi, bj, i, j, tb[i*nb+j], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRowsRaggedEdge(t *testing.T) {
 	tl := NewTiled(10, 4)
 	if tl.NT != 3 {

@@ -18,6 +18,13 @@
 //	                                   "degraded" + reasons under brownout)
 //	GET /stats                         per-endpoint and scheduler counters
 //
+// A /cholesky reply carries gflops: n³/3 flops over the request's elapsed_ns,
+// which spans the copy into tiles, task insertion and the drain (and any
+// panic-retry attempts), so it is the rate a client saw, not a kernel rate.
+// The kernels are internal/blas's; at the small n and nb of typical requests
+// the copy and the per-task scheduling cost hold gflops well below the
+// kernels' own rate.
+//
 // Because the job carries the request context, both per-request deadlines
 // (a timeout=DURATION query parameter, or the server's default) and client
 // disconnects cancel the job through the runtime's machinery: remaining
