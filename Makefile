@@ -46,10 +46,19 @@ fmt-check:
 		echo "gofmt: files need formatting:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# bench-selftest builds, vets and tests the benchmark of record's own
+# module (~5 s). benchmark/ is a separate Go module, so `go build ./...` and
+# `go test ./...` at the root never compile it, yet it imports server and
+# internal packages: this is the tier that notices when a change here
+# breaks it.
+.PHONY: bench-selftest
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # check is the local CI entry point: static gates, tier-1, the race tier,
-# and the serve/load integration pipeline.
+# the benchmark module's self-test and the serve/load integration pipeline.
 .PHONY: check
-check: fmt-check vet lint build test race bench-gate integration
+check: fmt-check vet lint build test race bench-gate bench-selftest integration
 
 # The packages of the micro-benchmark trajectory: the scheduler's per-task
 # costs and the tile kernels' per-call costs.
@@ -65,9 +74,11 @@ bench:
 # Non-gating in CI.
 # Time-based benchtime: iteration-count runs are dominated by warmup noise
 # and would make the trajectory useless for spotting regressions.
+# GOMAXPROCS is pinned to 1: every BENCH_<n>.json so far was recorded at
+# P = 1, and rows are only comparable at the same P.
 .PHONY: bench-json
 bench-json:
-	$(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson
+	GOMAXPROCS=1 $(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson
 
 # bench-gate is the gating benchmark smoke: a fast fixed-iteration run
 # (-benchtime=100x, so it costs seconds per PR) whose allocs/op — which is
@@ -77,10 +88,13 @@ bench-json:
 # beyond ns_warn_pct against the newest BENCH_<n>.json only warns. Budgets
 # are calibrated at this exact benchtime: short runs amortize warm-up
 # allocations (free-list slabs, pool fills, inbox growth) differently than
-# the 1s bench-json runs do.
+# the 1s bench-json runs do — and at GOMAXPROCS=1, which the target pins:
+# with a second P, BenchmarkForEach's split path allocates (5–9 allocs/op
+# against its budget of 0; finding those is a ROADMAP item), so unpinned the
+# gate is red on any multi-core box before any change.
 .PHONY: bench-gate
 bench-gate:
-	$(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
+	GOMAXPROCS=1 $(GO) test -bench=. -benchtime=100x -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson gate -gates bench_gates.json
 
 # bench-diff compares the two most recent BENCH_<n>.json artifacts with
 # xkbenchjson's diff mode and prints the per-benchmark delta table. The

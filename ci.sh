@@ -5,7 +5,8 @@
 # Tiers: static gates (gofmt, vet, the xkvet analyzer suite), tier-1
 # verify (build + full test suite), the race tier over the
 # concurrency-critical packages, the gating benchmark allocation budgets
-# (bench_gates.json via `make bench-gate`), the serve/load integration
+# (bench_gates.json via `make bench-gate`), the benchmark module's own
+# vet + tests (`make bench-selftest`), the serve/load integration
 # pipeline, and a non-gating benchmark tier that records the perf
 # trajectory as a BENCH_<n>.json artifact. Mirrors `make check` (+ the
 # bench tier).
@@ -75,10 +76,15 @@ go test -race -count=1 \
 # The allocation gate is the one benchmark tier that fails the build: a
 # fast fixed-iteration smoke (-benchtime=100x) whose allocs/op — stable in
 # a container, unlike wall-clock — is enforced against the budgets in
-# bench_gates.json. Timing drift only warns (and only against artifacts
+# bench_gates.json, at the GOMAXPROCS=1 the budgets were calibrated at
+# (the target pins it). Timing drift only warns (and only against artifacts
 # with a comparable measurement basis).
 echo "== gate: benchmark allocation budgets (make bench-gate)"
 make bench-gate
+
+# benchmark/ is its own module: nothing above compiles it.
+echo "== gate: benchmark of record builds and passes its tests (make bench-selftest)"
+make bench-selftest
 
 echo "== integration tier: xkserve serve + load over HTTP"
 ./integration.sh

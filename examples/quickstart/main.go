@@ -167,11 +167,14 @@ func main() {
 	// 6. Serving jobs over HTTP. Package server wraps the same runtime in
 	// a network front-end: requests become SubmitCtx jobs bound to the
 	// request context (deadlines and client disconnects cancel the job).
-	// Admission is a pipeline: a bounded budget of in-flight jobs fronted
-	// by a FIFO queue where over-budget requests wait under their own
-	// deadline — 429 only when the queue itself is full — and concurrent
-	// small /fib and /loop requests coalesce into one batched job (one
-	// submit, one fan-out, per-request sub-results). /stats publishes
+	// Every endpoint is a row of one request pipeline (parse, shed, admit,
+	// batch or submit, panic-retry, finish, reply): a bounded budget of
+	// in-flight jobs fronted by a FIFO queue where over-budget requests
+	// wait under their own deadline — 429 only when the queue itself is
+	// full — and concurrent small /fib and /loop requests coalesce, up to
+	// 8 per Config.BatchWindow, into one batched job (one submit, one
+	// fan-out, per-request sub-results). Config.SLO.P99 is the one latency
+	// target the brownout controller holds every endpoint to. /stats publishes
 	// p50/p90/p99 end-to-end and queue-wait latency per endpoint, and
 	// per-job stats come back in every response. `xkserve serve` runs this
 	// at the command line; here we mount it in-process.

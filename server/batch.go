@@ -10,21 +10,13 @@ import (
 
 // batchItem carries one admitted request into a batcher: its problem size,
 // its request context (checked before the item's subtree is spawned, so a
-// dead request costs the batch nothing), and the channel its sub-result
-// comes back on. done is buffered, so result delivery never blocks on a
-// handler that already gave up.
+// dead request costs the batch nothing), and the channel its share of the
+// batch's result comes back on. done is buffered, so result delivery never
+// blocks on a request that already gave up.
 type batchItem struct {
 	n    int
 	ctx  context.Context
-	done chan batchResult
-}
-
-// batchResult is one item's share of a completed batch job.
-type batchResult struct {
-	result int64           // the item's sub-result
-	size   int             // how many requests rode this batch
-	stats  xkaapi.JobStats // the whole batch job's task counters
-	err    error           // the batch job's error, if it failed
+	done chan result
 }
 
 // batcher coalesces concurrent small-job requests into one batched root
@@ -65,24 +57,33 @@ func newBatcher(window time.Duration, max int, run func([]*batchItem)) *batcher 
 // widen scales the coalescing window by mul (1 restores the configured
 // window). The brownout controller widens a degraded endpoint's window so
 // scarce capacity is spent on fewer, larger batch jobs.
-func (b *batcher) widen(mul int64) {
-	if mul < 1 {
-		mul = 1
-	}
-	b.winMul.Store(mul)
-}
+func (b *batcher) widen(mul int64) { b.winMul.Store(mul) }
 
-// submit hands an item to the collector. It reports false if the batcher
-// is stopped or the item's context dies first; the caller then falls back
-// to the direct one-job-per-request path.
-func (b *batcher) submit(it *batchItem) bool {
+// do rides one admitted request through the batcher: it joins the current
+// coalescing window and waits for its share of the batch's result — or for
+// its own context, whichever fires first, so a batch neighbour can never
+// extend this request's deadline. It reports false when the batcher is
+// stopped and the caller should run the request as a job of its own.
+func (b *batcher) do(ctx context.Context, n int) (result, bool) {
+	it := &batchItem{n: n, ctx: ctx, done: make(chan result, 1)}
 	select {
 	case b.ch <- it:
-		return true
-	case <-it.ctx.Done():
-		return false
+	case <-ctx.Done():
+		return result{err: ctx.Err()}, true
 	case <-b.stop:
-		return false
+		return result{}, false
+	}
+	select {
+	case res := <-it.done:
+		return res, true
+	case <-ctx.Done():
+		// The request died while its batch was still collecting or
+		// computing; the batch keeps serving its other members (its
+		// context stays alive while any member lives) and this member's
+		// sub-task is skipped at fan-out or abandoned at the next
+		// context check. The buffered done channel absorbs the late
+		// result.
+		return result{err: ctx.Err()}, true
 	}
 }
 
@@ -160,84 +161,49 @@ func batchContext(items []*batchItem) (context.Context, context.CancelFunc) {
 }
 
 // runBatch folds items into one batched root job: one SubmitCtx, one
-// fan-out. Each live item gets one spawned sub-task computing kernel(n)
-// into its own slot; items whose request died before the fan-out are
-// skipped for free. The job is dispatched asynchronously: a goroutine
-// waits for it, folds the batch's task counters into the endpoint once
-// (not once per member), and delivers each member's sub-result.
+// fan-out. Each live item gets one spawned sub-task computing the row's
+// kernel into its own slot; items whose request died before the fan-out are
+// skipped for free. The job is dispatched asynchronously: a goroutine runs
+// it through the pipeline's runJob — which folds the batch's task counters
+// into the endpoint once per attempt, not once per member — and delivers
+// each member's share.
 //
 // Failure semantics are those of one job, because the batch is one job: a
 // panic in any member's subtree fails the whole batch, and every member
-// reports the error. The small-job kernels (/fib, /loop) do not panic in
-// normal operation, and each member still verifies its own sub-result, so
-// the blast radius trade is taken for the amortization.
-// A batch that fails with a *PanicError is resubmitted whole, up to
-// Config.PanicRetries times: the batch is one job, so the retry is too.
-// Members whose request died between attempts are skipped at the next
-// fan-out like at the first, and every attempt's task counters are folded
-// in (the cancelled work was real work).
-func (s *Server) runBatch(ep *endpointStats, items []*batchItem,
-	kernel func(p *xkaapi.Proc, n int, out *int64)) {
+// reports the error. The small-job kernels do not panic in normal
+// operation, and each member still verifies its own sub-result, so the
+// blast radius trade is taken for the amortization. A batch that fails with
+// a *PanicError is resubmitted whole, up to Config.PanicRetries times: the
+// batch is one job, so the retry is too. Members whose request died between
+// attempts are skipped at the next fan-out like at the first.
+func (s *Server) runBatch(ep *endpoint, items []*batchItem) {
 	bctx, release := batchContext(items)
-	results := make([]int64, len(items))
-	submit := func() *xkaapi.Job {
-		return s.rt.SubmitCtx(bctx, func(p *xkaapi.Proc) {
-			for i := range items {
-				it := items[i]
-				if it.ctx.Err() != nil {
-					continue // requester already gone: skip its subtree
-				}
-				out := &results[i]
-				p.Spawn(func(p *xkaapi.Proc) { kernel(p, it.n, out) })
+	values := make([]int64, len(items))
+	fanOut := func(p *xkaapi.Proc) {
+		for i, it := range items {
+			if it.ctx.Err() != nil {
+				continue // requester already gone: skip its subtree
 			}
-			p.Sync()
-		})
+			out := &values[i]
+			p.Spawn(func(p *xkaapi.Proc) { ep.kernel(p, it.n, out) })
+		}
+		p.Sync()
 	}
-	job := submit()
 	go func() {
 		defer release()
-		var jerr error
-		var js xkaapi.JobStats
-		for attempt := 0; ; attempt++ {
-			jerr = job.Wait()
-			js = job.Stats()
-			ep.taskExecuted.Add(js.Executed)
-			ep.taskCancelled.Add(js.Cancelled)
-			ep.taskPanicked.Add(js.Panicked)
-			if !s.retryOnPanic(bctx, jerr, attempt) {
-				break
-			}
-			ep.panicRetried.Add(1)
-			job = submit()
-		}
+		res := s.runJob(bctx, ep, func() result {
+			job := s.rt.SubmitCtx(bctx, fanOut)
+			err := job.Wait()
+			return result{stats: job.Stats(), err: err}
+		})
+		res.batch = len(items)
 		if len(items) > 1 {
-			ep.batches.Add(1)
-			ep.batched.Add(int64(len(items)))
+			ep.stats.batches.Add(1)
+			ep.stats.batched.Add(int64(len(items)))
 		}
 		for i, it := range items {
-			it.done <- batchResult{result: results[i], size: len(items), stats: js, err: jerr}
+			res.value = values[i]
+			it.done <- res
 		}
 	}()
-}
-
-// fibKernel is fibTask as a batch member.
-func fibKernel(p *xkaapi.Proc, n int, out *int64) { fibTask(p, out, n) }
-
-// loopKernel is the /loop worksharing sum as a batch member: the adaptive
-// ForEach runs inside this member's sub-task, so concurrent members'
-// loops coexist in one job and are load-balanced together.
-func loopKernel(p *xkaapi.Proc, n int, out *int64) {
-	var sum atomic.Int64
-	jctx := p.Context()
-	xkaapi.Foreach(p, 0, n, func(_ *xkaapi.Proc, lo, hi int) {
-		if jctx.Err() != nil {
-			return
-		}
-		s := int64(0)
-		for i := lo; i < hi; i++ {
-			s += int64(i)
-		}
-		sum.Add(s)
-	})
-	*out = sum.Load()
 }

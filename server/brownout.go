@@ -6,24 +6,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"xkaapi/internal/latency"
 )
 
-// SLO configures the brownout controller: per-endpoint p99 latency targets
-// over the end-to-end request histogram. A zero target leaves that endpoint
-// unsupervised; an all-zero SLO disables the controller entirely. See
-// brownout for the control loop.
+// SLO configures the brownout controller: one p99 latency target, applied
+// to every endpoint's end-to-end request histogram. The zero P99 disables
+// the controller. See brownout for the control loop.
 type SLO struct {
-	// FibP99, LoopP99, CholP99 are the p99 targets per endpoint, measured
-	// over each evaluation window (not the cumulative histogram, so the
-	// controller reacts to the current regime, not the lifetime average).
-	FibP99, LoopP99, CholP99 time.Duration
+	// P99 is the p99 target of every endpoint, measured over each
+	// evaluation window (not the cumulative histogram, so the controller
+	// reacts to the current regime, not the lifetime average). An endpoint
+	// whose window is empty never violates it.
+	P99 time.Duration
 	// Tick is the evaluation period. Zero selects 250ms.
 	Tick time.Duration
 }
-
-func (s SLO) enabled() bool { return s.FibP99 > 0 || s.LoopP99 > 0 || s.CholP99 > 0 }
 
 const (
 	// brownoutEnterTicks consecutive violating windows enter degraded mode;
@@ -49,41 +45,21 @@ const (
 	defaultBrownoutTick = 250 * time.Millisecond
 )
 
-// browEndpoint is one endpoint's brownout state. Only the controller
-// goroutine touches the window/streak fields; degraded, shed and lastP99
-// are atomics read by handlers and /stats.
-type browEndpoint struct {
-	name  string
-	stats *endpointStats
-	slo   time.Duration
-	batch *batcher // nil: no coalescing to widen (cholesky, batching off)
-	maxN  int      // endpoint size cap; degraded mode sheds n > maxN/2
-
-	prev      *latency.Snapshot // previous tick's cumulative histogram
-	bad, good int               // consecutive violating / recovered windows
-
-	degraded atomic.Bool
-	lastP99  atomic.Int64 // last window's p99, ns (for /healthz reasons)
-}
-
 // setDegraded flips the endpoint's mode and applies the batch-window
 // multiplier: degraded endpoints collect brownoutBatchMul× longer.
-func (e *browEndpoint) setDegraded(v bool) {
-	if e.degraded.Load() == v {
+func (e *endpoint) setDegraded(v bool) {
+	if e.degraded.Swap(v) == v || e.batch == nil {
 		return
 	}
-	e.degraded.Store(v)
-	if e.batch != nil {
-		if v {
-			e.batch.widen(brownoutBatchMul)
-		} else {
-			e.batch.widen(1)
-		}
+	if v {
+		e.batch.widen(brownoutBatchMul)
+	} else {
+		e.batch.widen(1)
 	}
 }
 
 // brownout is the graceful-degradation controller: a control loop that
-// compares each supervised endpoint's windowed p99 (cumulative-histogram
+// compares each endpoint's windowed p99 (cumulative-histogram
 // difference between ticks, see latency.Snapshot.Sub) and the admission
 // queue's saturation against the configured SLO, and flips endpoints into
 // degraded mode with hysteresis (brownoutEnterTicks in, brownoutExitTicks
@@ -93,8 +69,8 @@ func (e *browEndpoint) setDegraded(v bool) {
 // reason line per cause while any endpoint is degraded.
 type brownout struct {
 	srv  *Server
+	slo  time.Duration
 	tick time.Duration
-	eps  []*browEndpoint
 
 	degraded atomic.Bool // any endpoint degraded (the /healthz headline)
 
@@ -108,6 +84,7 @@ type brownout struct {
 func newBrownout(s *Server, cfg SLO) *brownout {
 	b := &brownout{
 		srv:  s,
+		slo:  cfg.P99,
 		tick: cfg.Tick,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -115,18 +92,6 @@ func newBrownout(s *Server, cfg SLO) *brownout {
 	if b.tick <= 0 {
 		b.tick = defaultBrownoutTick
 	}
-	add := func(name string, ep *endpointStats, slo time.Duration, batch *batcher, maxN int) {
-		if slo <= 0 {
-			return
-		}
-		b.eps = append(b.eps, &browEndpoint{
-			name: name, stats: ep, slo: slo, batch: batch, maxN: maxN,
-			prev: &latency.Snapshot{},
-		})
-	}
-	add("fib", &s.fib, cfg.FibP99, s.fibBatch, s.maxFib)
-	add("loop", &s.loop, cfg.LoopP99, s.loopBatch, s.maxLoop)
-	add("cholesky", &s.chol, cfg.CholP99, nil, s.maxChol)
 	go b.loop()
 	return b
 }
@@ -154,25 +119,24 @@ func (b *brownout) close() {
 // controller deterministically, without real time.
 func (b *brownout) step() {
 	queueSat := false
-	if qcap := b.srv.queueCap; qcap > 0 {
+	if qcap := b.srv.adq.maxQueue; qcap > 0 {
 		queueSat = b.srv.adq.depth()*brownoutQueueDen >= qcap*brownoutQueueNum
 	}
 	var reasons []string
 	any := false
-	for _, e := range b.eps {
+	for _, e := range b.srv.eps {
 		snap := e.stats.latency.Snapshot()
-		win := snap.Sub(e.prev)
-		e.prev = snap
+		win := snap.Sub(&e.prev)
+		e.prev = *snap
 		p99 := win.Quantile(0.99)
-		e.lastP99.Store(p99.Nanoseconds())
 
 		// Queue saturation violates every endpoint's SLO: shedding one
 		// endpoint while the shared queue drowns would be no brownout at
 		// all. An empty window is evidence of recovery (no traffic, no
 		// violation), not grounds to hold state forever.
-		bad := queueSat || (win.Total > 0 && p99 > e.slo)
+		bad := queueSat || (win.Total > 0 && p99 > b.slo)
 		good := !queueSat &&
-			(win.Total == 0 || p99*brownoutExitDen <= e.slo*brownoutExitNum)
+			(win.Total == 0 || p99*brownoutExitDen <= b.slo*brownoutExitNum)
 		switch {
 		case bad:
 			e.good = 0
@@ -192,12 +156,12 @@ func (b *brownout) step() {
 		if e.degraded.Load() {
 			any = true
 			reasons = append(reasons, fmt.Sprintf("%s: window p99 %v against SLO %v",
-				e.name, p99.Round(time.Millisecond), e.slo))
+				e.name, p99.Round(time.Millisecond), b.slo))
 		}
 	}
 	if queueSat && any {
 		reasons = append(reasons, fmt.Sprintf("admission queue >= %d/%d full (depth %d of %d)",
-			brownoutQueueNum, brownoutQueueDen, b.srv.adq.depth(), b.srv.queueCap))
+			brownoutQueueNum, brownoutQueueDen, b.srv.adq.depth(), b.srv.adq.maxQueue))
 	}
 	b.degraded.Store(any)
 	b.mu.Lock()
@@ -213,26 +177,3 @@ func (b *brownout) reasonLines() []string {
 }
 
 func (b *brownout) reasonText() string { return strings.Join(b.reasonLines(), "\n") }
-
-// epFor returns the named endpoint's brownout state, nil when that
-// endpoint is unsupervised.
-func (b *brownout) epFor(name string) *browEndpoint {
-	for _, e := range b.eps {
-		if e.name == name {
-			return e
-		}
-	}
-	return nil
-}
-
-// shed reports whether a degraded endpoint refuses this request for size:
-// while browned out, requests above half the endpoint's cap are answered
-// 503 before taking a budget slot, keeping the remaining capacity for the
-// small requests that can still meet the SLO.
-func (e *browEndpoint) shedOversized(n int) bool {
-	if e == nil || !e.degraded.Load() || n*2 <= e.maxN {
-		return false
-	}
-	e.stats.shed.Add(1)
-	return true
-}

@@ -25,9 +25,9 @@ func sloServer(t *testing.T, cfg Config) (*Server, string) {
 
 // record feeds one evaluation window's worth of synthetic latencies and
 // evaluates it.
-func record(s *Server, ep *endpointStats, d time.Duration, n int) {
+func record(s *Server, ep *endpoint, d time.Duration, n int) {
 	for i := 0; i < n; i++ {
-		ep.latency.Record(d)
+		ep.stats.latency.Record(d)
 	}
 	s.brow.step()
 }
@@ -38,7 +38,7 @@ func record(s *Server, ep *endpointStats, d time.Duration, n int) {
 // endpoint, and only three consecutive windows below 80% of the SLO — not
 // the first good one — recover it.
 func TestBrownoutHysteresis(t *testing.T) {
-	s, url := sloServer(t, Config{SLO: SLO{FibP99: 20 * time.Millisecond}})
+	s, url := sloServer(t, Config{SLO: SLO{P99: 20 * time.Millisecond}})
 
 	healthz := func() string {
 		resp, err := http.Get(url + "/healthz")
@@ -53,15 +53,15 @@ func TestBrownoutHysteresis(t *testing.T) {
 		return string(b)
 	}
 
-	record(s, &s.fib, 50*time.Millisecond, 10) // one bad window: not yet
+	record(s, row(s, "fib"), 50*time.Millisecond, 10) // one bad window: not yet
 	if s.Degraded() {
 		t.Fatal("degraded after a single violating window — no hysteresis")
 	}
-	record(s, &s.fib, 50*time.Millisecond, 10) // second consecutive: enter
+	record(s, row(s, "fib"), 50*time.Millisecond, 10) // second consecutive: enter
 	if !s.Degraded() {
 		t.Fatal("two consecutive violating windows did not enter degraded mode")
 	}
-	if got := s.fibBatch.winMul.Load(); got != brownoutBatchMul {
+	if got := row(s, "fib").batch.winMul.Load(); got != brownoutBatchMul {
 		t.Fatalf("degraded batch window multiplier = %d, want %d", got, brownoutBatchMul)
 	}
 	if body := healthz(); !strings.HasPrefix(body, "degraded") || !strings.Contains(body, "fib") {
@@ -69,16 +69,16 @@ func TestBrownoutHysteresis(t *testing.T) {
 	}
 
 	// Recovery needs brownoutExitTicks consecutive windows at <= 80% SLO.
-	record(s, &s.fib, time.Millisecond, 10)
-	record(s, &s.fib, time.Millisecond, 10)
+	record(s, row(s, "fib"), time.Millisecond, 10)
+	record(s, row(s, "fib"), time.Millisecond, 10)
 	if !s.Degraded() {
 		t.Fatal("recovered after only two good windows — exit hysteresis broken")
 	}
-	record(s, &s.fib, time.Millisecond, 10)
+	record(s, row(s, "fib"), time.Millisecond, 10)
 	if s.Degraded() {
 		t.Fatal("three good windows did not recover the endpoint")
 	}
-	if got := s.fibBatch.winMul.Load(); got != 1 {
+	if got := row(s, "fib").batch.winMul.Load(); got != 1 {
 		t.Fatalf("recovered batch window multiplier = %d, want 1", got)
 	}
 	if body := healthz(); !strings.HasPrefix(body, "ok") {
@@ -90,14 +90,14 @@ func TestBrownoutHysteresis(t *testing.T) {
 // is neither a violation nor a recovery — the current mode holds and both
 // streaks restart, so a load hovering at the threshold cannot flap.
 func TestBrownoutNearSLOHoldsState(t *testing.T) {
-	s, _ := sloServer(t, Config{SLO: SLO{FibP99: 20 * time.Millisecond}})
-	record(s, &s.fib, 50*time.Millisecond, 10)
-	record(s, &s.fib, 50*time.Millisecond, 10)
+	s, _ := sloServer(t, Config{SLO: SLO{P99: 20 * time.Millisecond}})
+	record(s, row(s, "fib"), 50*time.Millisecond, 10)
+	record(s, row(s, "fib"), 50*time.Millisecond, 10)
 	if !s.Degraded() {
 		t.Fatal("setup: not degraded")
 	}
 	for i := 0; i < 10; i++ {
-		record(s, &s.fib, 18*time.Millisecond, 10) // 90% of SLO: dead band
+		record(s, row(s, "fib"), 18*time.Millisecond, 10) // 90% of SLO: dead band
 	}
 	if !s.Degraded() {
 		t.Fatal("dead-band windows recovered the endpoint")
@@ -108,8 +108,8 @@ func TestBrownoutNearSLOHoldsState(t *testing.T) {
 // half its size cap with 503 + Retry-After before taking a budget slot,
 // while small requests keep flowing; /stats counts the sheds.
 func TestBrownoutShedsOversized(t *testing.T) {
-	s, url := sloServer(t, Config{MaxFib: 30, SLO: SLO{FibP99: 20 * time.Millisecond}})
-	s.brow.epFor("fib").setDegraded(true)
+	s, url := sloServer(t, Config{MaxFib: 30, SLO: SLO{P99: 20 * time.Millisecond}})
+	row(s, "fib").setDegraded(true)
 	s.brow.degraded.Store(true)
 
 	resp, err := http.Get(url + "/fib?n=20") // > 30/2: shed
@@ -136,7 +136,7 @@ func TestBrownoutShedsOversized(t *testing.T) {
 		t.Fatalf("small request on degraded endpoint: status %d ok=%v, want 200 verified", resp.StatusCode, rep.OK)
 	}
 
-	if got := s.fib.shed.Load(); got != 1 {
+	if got := row(s, "fib").stats.shed.Load(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 	sr := statsReply(t, url)
@@ -208,7 +208,7 @@ func TestPanicRetriesServeThrough(t *testing.T) {
 				i, resp.StatusCode, rep.OK, rep.Error)
 		}
 	}
-	retried := s.fib.panicRetried.Load()
+	retried := row(s, "fib").stats.panicRetried.Load()
 	if retried == 0 {
 		t.Fatal("1% panic rate across 30 fib trees never triggered a retry")
 	}

@@ -19,8 +19,9 @@
 //	GET /stats                         per-endpoint and scheduler counters
 //
 // A /cholesky reply carries gflops: n³/3 flops over the request's elapsed_ns,
-// which spans the copy into tiles, task insertion and the drain (and any
-// panic-retry attempts), so it is the rate a client saw, not a kernel rate.
+// which spans the source-matrix lookup (a generation, for an order outside
+// the eight cached), the copy into tiles, task insertion and the drain (and
+// any panic-retry attempts), so it is the rate a client saw, not a kernel rate.
 // The kernels are internal/blas's; at the small n and nb of typical requests
 // the copy and the per-task scheduling cost hold gflops well below the
 // kernels' own rate.
@@ -36,7 +37,50 @@
 // per-request attribution a multi-tenant service needs on top of the
 // pool-global scheduler counters.
 //
-// # Admission pipeline: queue → batch → submit
+// # Request pipeline
+//
+// There is one request path. Each workload endpoint is a row of an
+// unexported table (builtinRows), and Server.serve takes every request of
+// every row through the same stages, in this order:
+//
+//  1. parse — the row's parser validates the query (n against the row's
+//     cap, timeout, and the row's own parameters); anything bad is a 400.
+//  2. shed — while the row is degraded (see Health & degradation), a
+//     request above half the row's cap is refused with 503 + Retry-After.
+//  3. admit — a budget slot, possibly after a wait in the admission queue
+//     (next section); 503 while draining, 429 when the queue is full,
+//     504/499 when the request dies while queued. The latency clock of
+//     /stats starts here, once, for every row.
+//  4. chaos delay — the fault-injection site (Config.Chaos); free when off.
+//  5. batch or submit — a row with a batch kernel joins the coalescing
+//     window unless the request carries an affinity pin; otherwise the
+//     row's attempt submits one job for the request and waits for it.
+//     elapsed_ns in the reply spans this stage and the next.
+//  6. panic-retry — an attempt (or a whole batch) that fails with a task
+//     panic is resubmitted up to Config.PanicRetries times, by one loop
+//     that also folds every attempt's task counters into the row.
+//  7. finish — the outcome is counted, its latency recorded and mapped to
+//     a status (Status taxonomy).
+//  8. reply — one builder writes the JSON body for every exit (direct,
+//     batched, cancelled); the row's fill adds its own fields and the
+//     verified ok.
+//
+// The three rows:
+//
+//	row       parse                    attempt                    fill
+//	fib       n, timeout, affinity     fibTask, one job           result == FibSeq(n)
+//	loop      n, timeout, affinity     loopKernel, one job        result == n(n-1)/2
+//	cholesky  n, nb, verify, timeout   cholesky.SubmitKaapi on a  gflops; residual
+//	                                   fresh tile copy            < 1e-10 on verify=1
+//
+// fib and loop name only their kernel: it is what a coalesced batch runs per
+// member, and their attempt is the same kernel as a job of its own, so the
+// two paths cannot diverge. cholesky has no kernel and is never coalesced.
+// /healthz and /stats are not rows and bypass the pipeline. New, Close,
+// /stats, the brownout controller and the shedding gate iterate the table,
+// so a row is all an endpoint is.
+//
+// # Admission: queue, then batch or submit
 //
 // Admission is a pipeline, not a gate. The server holds a bounded budget
 // of in-flight jobs (Config.Budget, default 2x the worker count) fronted
@@ -65,7 +109,7 @@
 //
 // Admitted /fib and /loop requests pass through a per-endpoint batcher: a
 // count-or-timeout collection window (Config.BatchWindow, default 500µs;
-// Config.BatchMax, default 8) folds concurrent small requests into ONE
+// at most 8 requests) folds concurrent small requests into ONE
 // runtime job — one SubmitCtx, one fan-out of per-request sub-tasks, one
 // set of job counters — instead of N jobs racing for the admission
 // budget. Each member still gets its own sub-result over a buffered
@@ -169,11 +213,13 @@
 // trip-and-recover episode counts 2) and "routed_around" (jobs the router
 // diverted away).
 //
-// Endpoint brownout (Config.SLO): a controller samples each supervised
-// endpoint's latency histogram every SLO.Tick (default 250ms) and compares
-// the windowed p99 — the delta between consecutive snapshots, not the
-// lifetime quantile — against the endpoint's SLO, treating a saturated
-// admission queue (depth at ≥ 3/4 of capacity) as a violation everywhere.
+// Endpoint brownout (Config.SLO): a controller samples every endpoint's
+// latency histogram every SLO.Tick (default 250ms) and compares the
+// windowed p99 — the delta between consecutive snapshots, not the lifetime
+// quantile — against the one target SLO.P99 (an endpoint with no traffic in
+// the window never violates it), treating a saturated admission queue
+// (depth at ≥ 3/4 of capacity) as a violation everywhere. The histogram is
+// the admission-to-status latency, so an injected handler delay counts.
 // Transitions are hysteretic so the controller cannot flap: two
 // consecutive violating windows enter degradation, three consecutive
 // windows at or below 80% of the SLO leave it, and windows between 80%

@@ -46,13 +46,10 @@ type Config struct {
 	// (instant 429, the pre-queue behavior).
 	QueueDepth int
 	// BatchWindow is the coalescing window for the small-job endpoints
-	// (/fib, /loop): concurrent requests arriving within it are folded
-	// into one batched root job. Zero selects 500µs; negative disables
-	// batching (one job per request).
+	// (/fib, /loop): concurrent requests arriving within it — at most
+	// batchMax of them — are folded into one batched root job. Zero selects
+	// 500µs; negative disables batching (one job per request).
 	BatchWindow time.Duration
-	// BatchMax caps how many requests one batch may coalesce. Zero or
-	// negative selects 8.
-	BatchMax int
 	// DefaultTimeout is the per-request deadline applied when the client
 	// does not send a timeout parameter. Zero means no default deadline
 	// (the request context still cancels on client disconnect).
@@ -60,26 +57,28 @@ type Config struct {
 	// MaxFib, MaxLoop, MaxChol cap the per-request problem sizes; a request
 	// above its cap is a 400. Zeros select 40, 50_000_000 and 2048.
 	MaxFib, MaxLoop, MaxChol int
-	// SLO enables the brownout controller: per-endpoint p99 targets the
-	// server degrades gracefully against (shedding oversized requests,
-	// widening batch windows, reporting "degraded" from /healthz) instead
-	// of violating silently. The zero SLO disables the controller.
+	// SLO enables the brownout controller: the p99 target every endpoint
+	// is held to, which the server degrades gracefully against (shedding
+	// oversized requests, widening batch windows, reporting "degraded" from
+	// /healthz) instead of violating silently. A zero SLO.P99 disables the
+	// controller.
 	SLO SLO
 	// PanicRetries resubmits a request's job up to N times when it fails
 	// with a *xkaapi.PanicError (a crashed task, injected or real), as long
 	// as the request's own deadline still stands. Zero disables retries: a
 	// panic is a 500, the pre-chaos behavior.
 	PanicRetries int
-	// Chaos arms the server-layer fault-injection site (handler latency
-	// after admission) with the given injector — normally the same injector
-	// the runtime was built with (xkaapi.WithChaos), so one seed drives the
-	// whole stack. Nil disables injection at zero cost.
+	// Chaos arms the server-layer fault-injection site (a delay after
+	// admission, inside the latency clock) with the given injector —
+	// normally the same injector the runtime was built with
+	// (xkaapi.WithChaos), so one seed drives the whole stack. Nil disables
+	// injection at zero cost.
 	Chaos *xkaapi.ChaosInjector
 }
 
 // endpointStats aggregates one endpoint's outcomes. All counters are
 // atomics and the histograms are lock-free: they are bumped from
-// concurrent handlers and read by /stats while the server runs.
+// concurrent requests and read by /stats while the server runs.
 type endpointStats struct {
 	requests        atomic.Int64 // admitted (budget acquired)
 	ok              atomic.Int64 // 200s
@@ -148,30 +147,23 @@ func (es *endpointStats) snapshot() EndpointStats {
 	}
 }
 
+// batchMax caps how many requests one batch may coalesce.
+const batchMax = 8
+
 // Server turns HTTP requests into runtime jobs. Create it with New; it
 // implements http.Handler.
 type Server struct {
 	rt       *xkaapi.Runtime
 	mux      *http.ServeMux
 	adq      *admitQueue // in-flight budget + bounded FIFO admission queue
-	budget   int
-	queueCap int
 	timeout  time.Duration
-	maxFib   int
-	maxLoop  int
-	maxChol  int
 	draining atomic.Bool
 
 	chaos        *xkaapi.ChaosInjector // nil: handler-delay site disabled
 	panicRetries int
 	brow         *brownout // nil: brownout controller disabled
 
-	fibBatch  *batcher // nil when batching is disabled
-	loopBatch *batcher
-
-	fib  endpointStats
-	loop endpointStats
-	chol endpointStats
+	eps []*endpoint // the endpoint table: one row per workload
 }
 
 // New builds a Server over cfg.Runtime, or over a runtime of its own when
@@ -179,7 +171,10 @@ type Server struct {
 // the caller owns the runtime's lifecycle — reach a self-built one through
 // Server.Runtime for the shutdown order described at StartDrain. Close
 // stops the coalescing collectors once no more requests can arrive.
-func New(cfg Config) *Server {
+func New(cfg Config) *Server { return newServer(cfg, builtinRows(cfg)) }
+
+// newServer is New over an explicit endpoint table.
+func newServer(cfg Config, rows []*endpoint) *Server {
 	if cfg.Runtime == nil {
 		opts := []xkaapi.Option{}
 		if cfg.Workers > 0 {
@@ -202,56 +197,38 @@ func New(cfg Config) *Server {
 		queueCap = 0 // queue disabled: instant 429 past the budget
 	}
 	s := &Server{
-		rt:       cfg.Runtime,
-		mux:      http.NewServeMux(),
-		adq:      newAdmitQueue(budget, queueCap),
-		budget:   budget,
-		queueCap: queueCap,
-		timeout:  cfg.DefaultTimeout,
-		maxFib:   cfg.MaxFib,
-		maxLoop:  cfg.MaxLoop,
-		maxChol:  cfg.MaxChol,
+		rt:      cfg.Runtime,
+		mux:     http.NewServeMux(),
+		adq:     newAdmitQueue(budget, queueCap),
+		timeout: cfg.DefaultTimeout,
 
 		chaos:        cfg.Chaos,
 		panicRetries: cfg.PanicRetries,
-	}
-	if s.maxFib <= 0 {
-		s.maxFib = 40
-	}
-	if s.maxLoop <= 0 {
-		s.maxLoop = 50_000_000
-	}
-	if s.maxChol <= 0 {
-		s.maxChol = 2048
+		eps:          rows,
 	}
 	window := cfg.BatchWindow
 	if window == 0 {
 		window = 500 * time.Microsecond
 	}
-	batchMax := cfg.BatchMax
-	if batchMax <= 0 {
-		batchMax = 8
+	for _, ep := range s.eps {
+		if ep.kernel != nil {
+			ep.attempt = submitKernel
+			if window > 0 {
+				ep.batch = newBatcher(window, batchMax, func(items []*batchItem) { s.runBatch(ep, items) })
+			}
+		}
+		s.mux.HandleFunc("GET /"+ep.name, func(w http.ResponseWriter, r *http.Request) { s.serve(ep, w, r) })
 	}
-	if window > 0 {
-		s.fibBatch = newBatcher(window, batchMax, func(items []*batchItem) {
-			s.runBatch(&s.fib, items, fibKernel)
-		})
-		s.loopBatch = newBatcher(window, batchMax, func(items []*batchItem) {
-			s.runBatch(&s.loop, items, loopKernel)
-		})
-	}
-	if cfg.SLO.enabled() {
+	if cfg.SLO.P99 > 0 {
 		s.brow = newBrownout(s, cfg.SLO) // after the batchers: it widens them
 	}
-	s.mux.HandleFunc("GET /fib", s.handleFib)
-	s.mux.HandleFunc("GET /loop", s.handleLoop)
-	s.mux.HandleFunc("GET /cholesky", s.handleCholesky)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	return s
 }
 
-// ServeHTTP dispatches to the endpoint handlers.
+// ServeHTTP dispatches a workload request to the pipeline (serve) with its
+// endpoint's row; /healthz and /stats bypass admission entirely.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Runtime returns the pool the server submits to — the one from Config, or
@@ -261,10 +238,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Runtime() *xkaapi.Runtime { return s.rt }
 
 // Budget returns the configured in-flight job budget.
-func (s *Server) Budget() int { return s.budget }
+func (s *Server) Budget() int { return s.adq.budget }
 
 // QueueCap returns the admission queue bound (0 when queueing is disabled).
-func (s *Server) QueueCap() int { return s.queueCap }
+func (s *Server) QueueCap() int { return s.adq.maxQueue }
 
 // InFlight returns the number of budget slots currently held.
 func (s *Server) InFlight() int { return s.adq.inFlight() }
@@ -294,41 +271,16 @@ func (s *Server) Close() {
 	if s.brow != nil {
 		s.brow.close()
 	}
-	if s.fibBatch != nil {
-		s.fibBatch.close()
-	}
-	if s.loopBatch != nil {
-		s.loopBatch.close()
+	for _, ep := range s.eps {
+		if ep.batch != nil {
+			ep.batch.close()
+		}
 	}
 }
 
 // Degraded reports whether the brownout controller currently has any
 // endpoint in degraded mode (always false without an SLO).
 func (s *Server) Degraded() bool { return s.brow != nil && s.brow.degraded.Load() }
-
-// chaosDelay is the server-layer injection site: an admitted handler
-// sleeps for the scenario's handler-delay pulse before submitting, driving
-// the latency SLO (and therefore the brownout controller) without touching
-// the scheduler. Free when no injector is armed.
-func (s *Server) chaosDelay() {
-	if cz := s.chaos; cz != nil {
-		if d := cz.HandlerDelay(); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
-// retryOnPanic reports whether a failed job attempt should be resubmitted:
-// the failure is a *xkaapi.PanicError (a crashed task — the one failure
-// mode where a fresh attempt can honestly succeed), the request context is
-// still alive to use the result, and Config.PanicRetries attempts remain.
-func (s *Server) retryOnPanic(ctx context.Context, err error, attempt int) bool {
-	if err == nil || attempt >= s.panicRetries || ctx.Err() != nil {
-		return false
-	}
-	var pe *xkaapi.PanicError
-	return errors.As(err, &pe)
-}
 
 // admit applies admission control for one workload request: refuse with
 // 503 while draining; otherwise take a budget slot, waiting in the bounded
@@ -371,31 +323,6 @@ func (s *Server) admit(ep *endpointStats, w http.ResponseWriter, ctx context.Con
 
 func (s *Server) release() { s.adq.release() }
 
-// requestCtx derives the job context for one request: the request context
-// (cancelled by client disconnect and server shutdown), tightened by an
-// explicit timeout query parameter and the server's default deadline. The
-// parameter can only tighten the operator-configured ceiling, never exceed
-// it — otherwise a client could hold a budget slot indefinitely.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	ctx := r.Context()
-	d := s.timeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		pd, err := time.ParseDuration(v)
-		if err != nil || pd <= 0 {
-			return nil, nil, fmt.Errorf("bad timeout %q", v)
-		}
-		if d == 0 || pd < d {
-			d = pd
-		}
-	}
-	if d > 0 {
-		ctx, cancel := context.WithTimeout(ctx, d)
-		return ctx, cancel, nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	return ctx, cancel, nil
-}
-
 // finish folds one request outcome into the endpoint aggregates — outcome
 // counters and the end-to-end latency histogram — and maps it to an HTTP
 // status: 200 on verified success, 504 on deadline, 499 on client
@@ -411,8 +338,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // cancellation reaches here with a live request context and is counted as
 // server_cancelled (503: the client did nothing wrong and should retry
 // elsewhere) instead of being mislabeled a 499 client-closed-request.
-func (s *Server) finish(ep *endpointStats, start time.Time, reqCtx context.Context, err error, resultOK bool) int {
-	ep.latency.Record(time.Since(start))
+func (s *Server) finish(ep *endpointStats, admitted time.Time, reqCtx context.Context, err error, resultOK bool) int {
+	ep.latency.Record(time.Since(admitted))
 	switch {
 	case err == nil && resultOK:
 		ep.ok.Add(1)
@@ -437,18 +364,6 @@ func (s *Server) finish(ep *endpointStats, start time.Time, reqCtx context.Conte
 		ep.failed.Add(1)
 		return http.StatusInternalServerError
 	}
-}
-
-// finishJob is finish plus the per-job task counters, for the
-// one-job-per-request paths (/cholesky, and /fib & /loop with batching
-// disabled). Batched requests must not use it: their batch job's counters
-// are folded in once per batch by runBatch.
-func (s *Server) finishJob(ep *endpointStats, start time.Time, reqCtx context.Context,
-	js xkaapi.JobStats, err error, resultOK bool) int {
-	ep.taskExecuted.Add(js.Executed)
-	ep.taskCancelled.Add(js.Cancelled)
-	ep.taskPanicked.Add(js.Panicked)
-	return s.finish(ep, start, reqCtx, err, resultOK)
 }
 
 // reply is the JSON body of every workload response, successful or not.
@@ -479,30 +394,12 @@ func (f flt) MarshalJSON() ([]byte, error) {
 
 func fltPtr(v float64) *flt { f := flt(v); return &f }
 
-func i64Ptr(v int64) *int64 { return &v }
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) // write error means the client is gone; nothing to do
-}
-
-// intParam parses an integer query parameter with a default and a cap.
-func intParam(r *http.Request, name string, def, max int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	if n > max {
-		return 0, fmt.Errorf("%s %d exceeds cap %d", name, n, max)
-	}
-	return n, nil
 }
 
 // handleHealthz reports three states: 503 "draining" (stop routing here —
@@ -580,18 +477,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := StatsReply{
 		Workers:    s.rt.Workers(),
 		Shards:     s.rt.Shards(),
-		Budget:     s.budget,
+		Budget:     s.Budget(),
 		InFlight:   s.InFlight(),
-		QueueCap:   s.queueCap,
+		QueueCap:   s.QueueCap(),
 		QueueDepth: s.QueueDepth(),
 		Draining:   s.draining.Load(),
 		Degraded:   s.Degraded(),
-		Endpoints: map[string]EndpointStats{
-			"fib":      s.fib.snapshot(),
-			"loop":     s.loop.snapshot(),
-			"cholesky": s.chol.snapshot(),
-		},
-		Scheduler: s.rt.Stats(),
+		Endpoints:  make(map[string]EndpointStats, len(s.eps)),
+		Scheduler:  s.rt.Stats(),
+	}
+	for _, ep := range s.eps {
+		reply.Endpoints[ep.name] = ep.stats.snapshot()
 	}
 	if reply.Degraded {
 		reply.DegradedReasons = s.brow.reasonLines()

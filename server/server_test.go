@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,15 +21,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		cfg.Runtime = xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithoutPinning())
 	}
 	s := New(cfg)
+	return s, startTestServer(t, s)
+}
+
+// startTestServer serves s over loopback and tears everything down, the
+// runtime included, when the test ends.
+func startTestServer(t *testing.T, s *Server) *httptest.Server {
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close() // waits for in-flight handlers
 		s.Close()  // then stop the batch collectors
-		if err := cfg.Runtime.CloseErr(); err != nil {
+		if err := s.rt.CloseErr(); err != nil {
 			t.Logf("runtime close: %v", err)
 		}
 	})
-	return s, ts
+	return ts
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -44,6 +51,16 @@ func getJSON(t *testing.T, url string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// row returns the endpoint table's row by name.
+func row(s *Server, name string) *endpoint {
+	for _, ep := range s.eps {
+		if ep.name == name {
+			return ep
+		}
+	}
+	panic("no endpoint row " + name)
 }
 
 // holdSlots takes n budget slots the way n in-flight jobs would.
@@ -136,10 +153,10 @@ func TestBackpressure429NoQueue(t *testing.T) {
 	}
 	s.release()
 
-	if got := s.fib.rejected.Load(); got != 1 {
+	if got := row(s, "fib").stats.rejected.Load(); got != 1 {
 		t.Errorf("fib rejected count = %d, want 1", got)
 	}
-	if s.fib.taskExecuted.Load() == 0 {
+	if row(s, "fib").stats.taskExecuted.Load() == 0 {
 		t.Error("fib task_executed = 0 after a served request")
 	}
 }
@@ -175,17 +192,17 @@ func TestQueueAbsorbsBurst(t *testing.T) {
 			t.Fatalf("burst request %d: got %d, want every request queued to a 200", i, code)
 		}
 	}
-	if got := s.fib.ok.Load(); got != clients {
+	if got := row(s, "fib").stats.ok.Load(); got != clients {
 		t.Errorf("fib ok = %d, want %d", got, clients)
 	}
-	if s.fib.rejected.Load() != 0 {
-		t.Errorf("fib rejected = %d, want 0 (queue must absorb the burst)", s.fib.rejected.Load())
+	if row(s, "fib").stats.rejected.Load() != 0 {
+		t.Errorf("fib rejected = %d, want 0 (queue must absorb the burst)", row(s, "fib").stats.rejected.Load())
 	}
-	if s.fib.queued.Load() == 0 {
+	if row(s, "fib").stats.queued.Load() == 0 {
 		t.Error("fib queued = 0, want > 0: the burst should have waited in the queue")
 	}
-	if qw := s.fib.queueWait.Summary(); qw.Count != s.fib.queued.Load() {
-		t.Errorf("queue_wait count = %d, want %d (one sample per queued request)", qw.Count, s.fib.queued.Load())
+	if qw := row(s, "fib").stats.queueWait.Summary(); qw.Count != row(s, "fib").stats.queued.Load() {
+		t.Errorf("queue_wait count = %d, want %d (one sample per queued request)", qw.Count, row(s, "fib").stats.queued.Load())
 	}
 }
 
@@ -205,13 +222,13 @@ func TestQueuedDeadline504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("queued GET /fib with 40ms deadline: status %d, want 504", resp.StatusCode)
 	}
-	if got := s.fib.requests.Load(); got != 0 {
+	if got := row(s, "fib").stats.requests.Load(); got != 0 {
 		t.Errorf("fib requests = %d, want 0: an expired queued request must never be admitted", got)
 	}
-	if got := s.fib.cancelled.Load(); got != 1 {
+	if got := row(s, "fib").stats.cancelled.Load(); got != 1 {
 		t.Errorf("fib cancelled = %d, want 1", got)
 	}
-	if got := s.fib.queued.Load(); got != 1 {
+	if got := row(s, "fib").stats.queued.Load(); got != 1 {
 		t.Errorf("fib queued = %d, want 1", got)
 	}
 	if got := s.InFlight(); got != 1 {
@@ -247,8 +264,8 @@ func TestQueuedClientDisconnect(t *testing.T) {
 		t.Error("disconnected client got a response, want a cancelled transport error")
 	}
 	// The server-side handler finishes asynchronously; wait for its verdict.
-	waitFor(t, time.Second, func() bool { return s.fib.cancelled.Load() == 1 })
-	if got := s.fib.requests.Load(); got != 0 {
+	waitFor(t, time.Second, func() bool { return row(s, "fib").stats.cancelled.Load() == 1 })
+	if got := row(s, "fib").stats.requests.Load(); got != 0 {
 		t.Errorf("fib requests = %d, want 0", got)
 	}
 	// The abandoned waiter must not absorb the next released slot.
@@ -288,7 +305,7 @@ func TestQueueFull429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After header")
 	}
-	if got := s.fib.rejected.Load(); got != 1 {
+	if got := row(s, "fib").stats.rejected.Load(); got != 1 {
 		t.Errorf("fib rejected = %d, want 1", got)
 	}
 
@@ -387,7 +404,6 @@ func TestBatchCoalescing(t *testing.T) {
 		Runtime:     rt,
 		Budget:      16,
 		BatchWindow: 100 * time.Millisecond,
-		BatchMax:    8,
 	})
 
 	const clients = 8
@@ -427,16 +443,16 @@ func TestBatchCoalescing(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if s.fib.batched.Load() < 2 && s.loop.batched.Load() < 2 {
+	if row(s, "fib").stats.batched.Load() < 2 && row(s, "loop").stats.batched.Load() < 2 {
 		t.Errorf("no coalescing observed (fib batched=%d, loop batched=%d) despite a %v window",
-			s.fib.batched.Load(), s.loop.batched.Load(), 100*time.Millisecond)
+			row(s, "fib").stats.batched.Load(), row(s, "loop").stats.batched.Load(), 100*time.Millisecond)
 	}
 	// Per-request outcome accounting is per member; task counters are per
 	// batch — both must reflect all requests.
-	if got := s.fib.ok.Load(); got != clients {
+	if got := row(s, "fib").stats.ok.Load(); got != clients {
 		t.Errorf("fib ok = %d, want %d", got, clients)
 	}
-	if s.fib.taskExecuted.Load() == 0 || s.loop.taskExecuted.Load() == 0 {
+	if row(s, "fib").stats.taskExecuted.Load() == 0 || row(s, "loop").stats.taskExecuted.Load() == 0 {
 		t.Error("batched endpoints report zero executed tasks")
 	}
 }
@@ -517,16 +533,16 @@ func TestServerCancelNotClientDisconnect(t *testing.T) {
 		{"client disconnect", deadCtx, context.Canceled, StatusClientClosedRequest, 1, 0},
 		{"deadline", live, context.DeadlineExceeded, http.StatusGatewayTimeout, 1, 0},
 	} {
-		beforeClient := s.fib.cancelled.Load()
-		beforeServer := s.fib.serverCancelled.Load()
-		got := s.finish(&s.fib, time.Now(), tc.reqCtx, tc.err, false)
+		beforeClient := row(s, "fib").stats.cancelled.Load()
+		beforeServer := row(s, "fib").stats.serverCancelled.Load()
+		got := s.finish(&row(s, "fib").stats, time.Now(), tc.reqCtx, tc.err, false)
 		if got != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.status)
 		}
-		if d := s.fib.cancelled.Load() - beforeClient; d != tc.client {
+		if d := row(s, "fib").stats.cancelled.Load() - beforeClient; d != tc.client {
 			t.Errorf("%s: cancelled delta %d, want %d", tc.name, d, tc.client)
 		}
-		if d := s.fib.serverCancelled.Load() - beforeServer; d != tc.server {
+		if d := row(s, "fib").stats.serverCancelled.Load() - beforeServer; d != tc.server {
 			t.Errorf("%s: server_cancelled delta %d, want %d", tc.name, d, tc.server)
 		}
 	}
@@ -547,10 +563,10 @@ func TestDeadlineCancelsCholesky(t *testing.T) {
 	if rep.Job.Cancelled == 0 {
 		t.Errorf("deadline-exceeded job cancelled 0 tasks, want > 0 (job %+v)", rep.Job)
 	}
-	if s.chol.cancelled.Load() != 1 {
-		t.Errorf("cholesky endpoint cancelled = %d, want 1", s.chol.cancelled.Load())
+	if row(s, "cholesky").stats.cancelled.Load() != 1 {
+		t.Errorf("cholesky endpoint cancelled = %d, want 1", row(s, "cholesky").stats.cancelled.Load())
 	}
-	if s.chol.taskCancelled.Load() == 0 {
+	if row(s, "cholesky").stats.taskCancelled.Load() == 0 {
 		t.Error("cholesky endpoint task_cancelled = 0, want > 0")
 	}
 
@@ -579,33 +595,6 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 	if !s.Draining() {
 		t.Error("Draining() = false after StartDrain")
-	}
-}
-
-// TestBadRequests checks parameter validation: over-cap sizes and malformed
-// timeouts are rejected with 400 before touching the budget.
-func TestBadRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxFib: 30})
-
-	for _, q := range []string{
-		"/fib?n=31",
-		"/fib?n=-1",
-		"/fib?n=x",
-		"/fib?timeout=bogus",
-		"/loop?n=999999999999",
-		"/cholesky?n=0",
-	} {
-		resp, err := http.Get(ts.URL + q)
-		if err != nil {
-			t.Fatalf("GET %s: %v", q, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s: status %d, want 400", q, resp.StatusCode)
-		}
-	}
-	if n := s.fib.requests.Load() + s.loop.requests.Load() + s.chol.requests.Load(); n != 0 {
-		t.Errorf("bad requests consumed %d budget admissions, want 0", n)
 	}
 }
 
@@ -664,9 +653,9 @@ func TestMixedBurstUnderBudget(t *testing.T) {
 		t.Errorf("runtime drain after burst: %v", err)
 	}
 	var admitted, okCount int64
-	for _, ep := range []*endpointStats{&s.fib, &s.loop, &s.chol} {
-		admitted += ep.requests.Load()
-		okCount += ep.ok.Load()
+	for _, ep := range s.eps {
+		admitted += ep.stats.requests.Load()
+		okCount += ep.stats.ok.Load()
 	}
 	if admitted != int64(served) || okCount != int64(served) {
 		t.Errorf("endpoint accounting: admitted=%d ok=%d, want both %d", admitted, okCount, served)
@@ -677,39 +666,48 @@ func TestMixedBurstUnderBudget(t *testing.T) {
 // only tightens the operator-configured default deadline: a client asking
 // for a huge timeout still gets the server ceiling.
 func TestTimeoutParamCannotExceedCeiling(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1), xkaapi.WithoutPinning())
-	t.Cleanup(func() { rt.Close() })
-	s := New(Config{Runtime: rt, DefaultTimeout: 50 * time.Millisecond})
-	defer s.Close()
+	const ceiling = 50 * time.Millisecond
+	for _, ep := range builtinRows(Config{}) {
+		for _, tc := range []struct {
+			query string
+			want  time.Duration
+		}{
+			{"timeout=8760h", ceiling},              // capped at ceiling
+			{"timeout=10ms", 10 * time.Millisecond}, // tighter than ceiling: honored
+			{"", ceiling},                           // no param: ceiling
+		} {
+			q, _ := url.ParseQuery(tc.query)
+			rq, err := ep.parse(ep, q, ceiling)
+			if err != nil || rq.timeout != tc.want {
+				t.Errorf("%s parse(%q): timeout %v (err %v), want %v", ep.name, tc.query, rq.timeout, err, tc.want)
+			}
+		}
+	}
 
-	for _, tc := range []struct {
-		query string
-		max   time.Duration // deadline must be within [now, now+max]
-	}{
-		{"/fib?n=10&timeout=8760h", 50 * time.Millisecond}, // capped at ceiling
-		{"/fib?n=10&timeout=10ms", 10 * time.Millisecond},  // tighter than ceiling: honored
-		{"/fib?n=10", 50 * time.Millisecond},               // no param: ceiling
-	} {
-		r := httptest.NewRequest("GET", tc.query, nil)
-		before := time.Now()
-		ctx, cancel, err := s.requestCtx(r)
-		if err != nil {
-			t.Fatalf("requestCtx(%s): %v", tc.query, err)
-		}
-		dl, ok := ctx.Deadline()
-		cancel()
-		if !ok {
-			t.Errorf("requestCtx(%s): no deadline, want one", tc.query)
-			continue
-		}
-		if d := dl.Sub(before); d > tc.max+10*time.Millisecond {
-			t.Errorf("requestCtx(%s): deadline in %v, want <= %v", tc.query, d, tc.max)
+	// End to end: Config.DefaultTimeout is that ceiling. Behind a held slot a
+	// request can only leave the queue by its deadline, so a 504 — with no
+	// timeout parameter, or with one far above the ceiling — shows the
+	// configured value reached the job context.
+	s, ts := newTestServer(t, Config{DefaultTimeout: 30 * time.Millisecond, Budget: 1})
+	holdSlots(t, s, 1)
+	defer s.release()
+	client := http.Client{Timeout: 5 * time.Second} // a lost ceiling fails here instead of hanging
+	for _, ep := range s.eps {
+		for _, query := range []string{"", "?timeout=8760h"} {
+			resp, err := client.Get(ts.URL + "/" + ep.name + query)
+			if err != nil {
+				t.Fatalf("GET /%s%s queued under a 30ms DefaultTimeout: %v", ep.name, query, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Errorf("GET /%s%s queued under a 30ms DefaultTimeout: status %d, want 504", ep.name, query, resp.StatusCode)
+			}
 		}
 	}
 }
 
-// TestStatsEndpointShape checks /stats is valid JSON with the fields the
-// ops side keys on, including the queue and latency surfaces.
+// TestStatsEndpointShape checks /stats is valid JSON with the server-level
+// fields the ops side keys on (TestEndpointContract checks each row's entry).
 func TestStatsEndpointShape(t *testing.T) {
 	s, ts := newTestServer(t, Config{Budget: 7, QueueDepth: 9})
 
@@ -729,24 +727,6 @@ func TestStatsEndpointShape(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw["queue_cap"], &queueCap); err != nil || queueCap != 9 {
 		t.Errorf("/stats queue_cap = %v (%v), want 9", queueCap, err)
-	}
-	var eps map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(raw["endpoints"], &eps); err != nil {
-		t.Fatalf("/stats endpoints: %v", err)
-	}
-	for _, key := range []string{"latency", "queue_wait", "server_cancelled", "queued", "batched"} {
-		if _, present := eps["fib"][key]; !present {
-			t.Errorf("/stats endpoints.fib missing %q", key)
-		}
-	}
-	var lat map[string]json.RawMessage
-	if err := json.Unmarshal(eps["fib"]["latency"], &lat); err != nil {
-		t.Fatalf("/stats endpoints.fib.latency: %v", err)
-	}
-	for _, key := range []string{"count", "p50_ns", "p90_ns", "p99_ns", "max_ns"} {
-		if _, present := lat[key]; !present {
-			t.Errorf("/stats endpoints.fib.latency missing %q", key)
-		}
 	}
 	if s.InFlight() != 0 {
 		t.Errorf("InFlight = %d at rest, want 0", s.InFlight())

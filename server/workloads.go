@@ -1,17 +1,49 @@
 package server
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xkaapi"
 	"xkaapi/internal/cholesky"
 	"xkaapi/internal/tile"
 )
+
+// builtinRows is the endpoint table: the paper's three paradigms, one row
+// each, over the one pipeline (Server.serve) and the one worker pool.
+//
+//	GET /fib?n=N: the fork-join recursion, verified against the sequential
+//	recurrence.
+//	GET /loop?n=N: the worksharing sum kernel the gomp and komp comparators
+//	run (sum of [0, n)), hosted on the adaptive foreach of the shared pool —
+//	the komp mapping of "#pragma omp for" — verified against the closed form.
+//	GET /cholesky?n=N&nb=NB[&verify=1]: one dataflow job factoring a
+//	deterministic SPD matrix of order N in NB-sized tiles.
+//
+// /fib and /loop have a kernel, so concurrent requests are coalesced into
+// one batched job when batching is enabled; they accept affinity=K, pinning
+// the job to shard K mod shards of a sharded runtime. /cholesky requests
+// are each a full dataflow job already and are never coalesced.
+func builtinRows(cfg Config) []*endpoint {
+	// A cap of zero (or below) selects the row's default.
+	orDefault := func(v, def int) int { return cmp.Or(max(v, 0), def) }
+	return []*endpoint{
+		{name: "fib", defN: 22, maxN: orDefault(cfg.MaxFib, 40), kernel: fibTask,
+			parse: parseSmall, fill: fillValue(FibSeq)},
+		{name: "loop", defN: 200_000, maxN: orDefault(cfg.MaxLoop, 50_000_000), kernel: loopKernel,
+			parse: parseSmall, fill: fillValue(func(n int) int64 { return int64(n) * int64(n-1) / 2 })},
+		{name: "cholesky", defN: 192, maxN: orDefault(cfg.MaxChol, 2048),
+			parse: parseCholesky, attempt: factorTiles, fill: fillCholesky},
+	}
+}
 
 // fibCutoff is the subtree size above which fibTask consults the job
 // context before descending. ctx.Err is a mutex-guarded read of the one
@@ -25,17 +57,17 @@ const fibCutoff = 16
 // request deadline, a client disconnect, or a sibling failure) and return
 // early instead of expanding a subtree the response can no longer use;
 // eager cancel at spawn prunes whatever was already enqueued.
-func fibTask(p *xkaapi.Proc, r *int64, n int) {
+func fibTask(p *xkaapi.Proc, n int, r *int64) {
 	if n < 2 {
 		*r = int64(n)
 		return
 	}
 	if n >= fibCutoff && p.Context().Err() != nil {
-		return // job dead: leave *r partial, the handler reports the error
+		return // job dead: leave *r partial, the pipeline reports the error
 	}
 	var a, b int64
-	p.Spawn(func(p *xkaapi.Proc) { fibTask(p, &a, n-1) })
-	fibTask(p, &b, n-2)
+	p.Spawn(func(p *xkaapi.Proc) { fibTask(p, n-1, &a) })
+	fibTask(p, n-2, &b)
 	p.Sync()
 	*r = a + b
 }
@@ -51,240 +83,66 @@ func FibSeq(n int) int64 {
 	return a
 }
 
-// serveBatched runs one admitted small-job request through the endpoint's
-// batcher: the request joins the current coalescing window and waits for
-// its sub-result (or its own context, whichever fires first — a batch
-// neighbour can never extend this request's deadline). verify maps the
-// sub-result to the response's ok. It reports false when the batcher is
-// unavailable (disabled, stopped, or the context died before the item was
-// accepted) and the caller should fall back to the one-job path.
-func (s *Server) serveBatched(ep *endpointStats, b *batcher, w http.ResponseWriter, r *http.Request,
-	endpoint string, n int, ctx context.Context, verify func(int64) bool) bool {
-	if b == nil {
-		return false
-	}
-	it := &batchItem{n: n, ctx: ctx, done: make(chan batchResult, 1)}
-	start := time.Now()
-	if !b.submit(it) {
-		if ctx.Err() != nil {
-			// Died before joining a batch: report the cancellation.
-			rep := reply{Endpoint: endpoint, N: n, Error: ErrorLine(ctx.Err()),
-				ElapsedNS: time.Since(start).Nanoseconds()}
-			writeJSON(w, s.finish(ep, start, r.Context(), ctx.Err(), false), rep)
-			return true
+// loopKernel is the /loop worksharing sum as a job body or batch member:
+// the adaptive ForEach runs inside this member's sub-task, so concurrent
+// members' loops coexist in one job and are load-balanced together.
+func loopKernel(p *xkaapi.Proc, n int, out *int64) {
+	var sum atomic.Int64
+	jctx := p.Context()
+	xkaapi.Foreach(p, 0, n, func(_ *xkaapi.Proc, lo, hi int) {
+		if jctx.Err() != nil {
+			return
 		}
-		return false // batcher stopped: direct path
-	}
-	select {
-	case res := <-it.done:
-		rep := reply{
-			Endpoint:  endpoint,
-			N:         n,
-			ElapsedNS: time.Since(start).Nanoseconds(),
-			Job:       res.stats,
+		s := int64(0)
+		for i := lo; i < hi; i++ {
+			s += int64(i)
 		}
-		if res.size > 1 {
-			rep.Batch = res.size
-		}
-		if res.err != nil {
-			rep.Error = ErrorLine(res.err)
-		} else {
-			rep.Result = i64Ptr(res.result)
-			rep.OK = verify(res.result)
-			if !rep.OK {
-				rep.Error = "result failed verification"
-			}
-		}
-		writeJSON(w, s.finish(ep, start, r.Context(), res.err, rep.OK), rep)
-	case <-ctx.Done():
-		// The request died while its batch was still collecting or
-		// computing; the batch keeps serving its other members (its
-		// context stays alive while any member lives) and this member's
-		// sub-task is skipped at fan-out or abandoned at the next
-		// context check. The buffered done channel absorbs the late
-		// sub-result.
-		err := ctx.Err()
-		rep := reply{Endpoint: endpoint, N: n, Error: ErrorLine(err),
-			ElapsedNS: time.Since(start).Nanoseconds()}
-		writeJSON(w, s.finish(ep, start, r.Context(), err, false), rep)
-	}
-	return true
+		sum.Add(s)
+	})
+	*out = sum.Load()
 }
 
-// shedOversized is the brownout controller's load-shedding gate: while the
-// endpoint is degraded, requests above half its size cap are refused with
-// 503 + Retry-After before a budget slot is taken — the remaining capacity
-// goes to the small requests that can still meet the SLO. A no-op while
-// the endpoint is healthy or unsupervised.
-func (s *Server) shedOversized(name string, w http.ResponseWriter, n int) bool {
-	if s.brow == nil || !s.brow.epFor(name).shedOversized(n) {
-		return false
+// parseSmall is parse for the kernel rows: size, deadline and the optional
+// affinity parameter, a uint64 key pinning the request's job to one shard
+// of a sharded runtime (see xkaapi.Runtime.SubmitAffinity).
+func parseSmall(ep *endpoint, q url.Values, ceiling time.Duration) (request, error) {
+	rq, err := parseSize(ep, q, ceiling)
+	if v := q.Get("affinity"); err == nil && v != "" {
+		rq.hasKey = true
+		if rq.key, err = strconv.ParseUint(v, 10, 64); err != nil {
+			err = fmt.Errorf("bad affinity %q", v)
+		}
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.adq.retryAfterSecs()))
-	http.Error(w, "degraded: oversized request shed", http.StatusServiceUnavailable)
-	return true
+	return rq, err
 }
 
-// affinityParam parses the optional affinity query parameter: a uint64 key
-// pinning the request's job to one shard of a sharded runtime (see
-// xkaapi.Runtime.SubmitAffinity). hasKey is false when the parameter is
-// absent.
-func affinityParam(r *http.Request) (key uint64, hasKey bool, err error) {
-	v := r.URL.Query().Get("affinity")
-	if v == "" {
-		return 0, false, nil
-	}
-	key, perr := strconv.ParseUint(v, 10, 64)
-	if perr != nil {
-		return 0, false, fmt.Errorf("bad affinity %q", v)
-	}
-	return key, true, nil
-}
-
-// submitSmall submits one small-job request body, honouring the affinity
-// pin when the request carries one.
-func (s *Server) submitSmall(ctx context.Context, key uint64, hasKey bool, fn func(*xkaapi.Proc)) *xkaapi.Job {
-	if hasKey {
-		return s.rt.SubmitAffinity(ctx, key, fn)
-	}
-	return s.rt.SubmitCtx(ctx, fn)
-}
-
-// handleFib serves GET /fib?n=N: the fork-join recursion, coalesced with
-// concurrent /fib requests into one batched job when batching is enabled,
-// result verified against the sequential recurrence. An affinity=K
-// parameter pins the job to shard K mod shards of a sharded runtime;
-// affinity requests bypass the batcher (a batch has one placement, which
-// would silently override the pin of every member but the first).
-func (s *Server) handleFib(w http.ResponseWriter, r *http.Request) {
-	n, err := intParam(r, "n", 22, s.maxFib)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, hasKey, err := affinityParam(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	if s.shedOversized("fib", w, n) {
-		return
-	}
-	if !s.admit(&s.fib, w, ctx) {
-		return
-	}
-	defer s.release()
-	s.chaosDelay()
-
-	verify := func(res int64) bool { return res == FibSeq(n) }
-	if !hasKey && s.serveBatched(&s.fib, s.fibBatch, w, r, "fib", n, ctx, verify) {
-		return
-	}
-
-	var res int64
+// submitKernel is attempt for every kernel row (newServer sets it, so the
+// direct and the batched path cannot compute different things): the kernel
+// as the body of a job of its own, honouring the affinity pin when the
+// request carries one.
+func submitKernel(s *Server, ctx context.Context, ep *endpoint, rq request) result {
+	var out int64
+	body := func(p *xkaapi.Proc) { ep.kernel(p, rq.n, &out) }
 	var job *xkaapi.Job
-	var jerr error
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		res = 0
-		job = s.submitSmall(ctx, key, hasKey, func(p *xkaapi.Proc) { fibTask(p, &res, n) })
-		jerr = job.Wait()
-		if !s.retryOnPanic(ctx, jerr, attempt) {
-			break
-		}
-		s.fib.panicRetried.Add(1)
-	}
-
-	rep := reply{
-		Endpoint:  "fib",
-		N:         n,
-		ElapsedNS: time.Since(start).Nanoseconds(),
-		Job:       job.Stats(),
-	}
-	if jerr != nil {
-		rep.Error = ErrorLine(jerr)
+	if rq.hasKey {
+		job = s.rt.SubmitAffinity(ctx, rq.key, body)
 	} else {
-		rep.Result = i64Ptr(res)
-		rep.OK = verify(res)
+		job = s.rt.SubmitCtx(ctx, body)
+	}
+	err := job.Wait()
+	return result{value: out, stats: job.Stats(), err: err}
+}
+
+// fillValue is fill for a kernel row: the computed number, verified against
+// the sequential reference want.
+func fillValue(want func(n int) int64) func(*reply, request, result, time.Duration) {
+	return func(rep *reply, rq request, res result, _ time.Duration) {
+		rep.Result = &res.value
+		rep.OK = res.value == want(rq.n)
 		if !rep.OK {
 			rep.Error = "result failed verification"
 		}
 	}
-	writeJSON(w, s.finishJob(&s.fib, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
-}
-
-// handleLoop serves GET /loop?n=N: the worksharing sum kernel the gomp and
-// komp comparators run (sum of [0, n)), hosted on the adaptive foreach of
-// the shared pool — i.e. the komp mapping of "#pragma omp for" — coalesced
-// with concurrent /loop requests into one batched job when batching is
-// enabled. The result is verified against the closed form.
-func (s *Server) handleLoop(w http.ResponseWriter, r *http.Request) {
-	n, err := intParam(r, "n", 200_000, s.maxLoop)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, hasKey, err := affinityParam(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	if s.shedOversized("loop", w, n) {
-		return
-	}
-	if !s.admit(&s.loop, w, ctx) {
-		return
-	}
-	defer s.release()
-	s.chaosDelay()
-
-	verify := func(res int64) bool { return res == int64(n)*int64(n-1)/2 }
-	if !hasKey && s.serveBatched(&s.loop, s.loopBatch, w, r, "loop", n, ctx, verify) {
-		return
-	}
-
-	var res int64
-	var job *xkaapi.Job
-	var jerr error
-	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		res = 0
-		job = s.submitSmall(ctx, key, hasKey, func(p *xkaapi.Proc) { loopKernel(p, n, &res) })
-		jerr = job.Wait()
-		if !s.retryOnPanic(ctx, jerr, attempt) {
-			break
-		}
-		s.loop.panicRetried.Add(1)
-	}
-
-	rep := reply{
-		Endpoint:  "loop",
-		N:         n,
-		ElapsedNS: time.Since(start).Nanoseconds(),
-		Job:       job.Stats(),
-	}
-	if jerr != nil {
-		rep.Error = ErrorLine(jerr)
-	} else {
-		rep.Result = i64Ptr(res)
-		rep.OK = verify(res)
-		if !rep.OK {
-			rep.Error = "result failed verification"
-		}
-	}
-	writeJSON(w, s.finishJob(&s.loop, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
 }
 
 // spdCache memoizes the SPD source matrices by order: generation is O(n²)
@@ -318,100 +176,58 @@ func spdSource(n int) *tile.Dense {
 	return d
 }
 
-// handleCholesky serves GET /cholesky?n=N&nb=NB[&verify=1]: one dataflow
-// job factoring a deterministic SPD matrix of order N in NB-sized tiles.
-// The default tile size is clamped to the matrix order — /cholesky?n=32
-// factors with nb=32, not the raw default 64. With verify=1 the factor is
-// checked against the source via the ||LLᵀ-A||/||A|| residual (an O(n³)
+// parseCholesky adds the tile size and the verify switch. The default tile
+// size is clamped to the matrix order — /cholesky?n=32 factors with nb=32,
+// not the raw default 64.
+func parseCholesky(ep *endpoint, q url.Values, ceiling time.Duration) (request, error) {
+	rq, err := parseSize(ep, q, ceiling)
+	if err == nil {
+		rq.nb, err = intParam(q, "nb", min(64, rq.n), rq.n)
+	}
+	if err == nil && (rq.n == 0 || rq.nb == 0) {
+		err = errors.New("n and nb must be positive")
+	}
+	rq.verify = q.Get("verify") == "1"
+	return rq, err
+}
+
+// factorTiles is attempt for /cholesky. The factorization is in-place, so
+// each attempt starts from a fresh tile copy of the source.
+func factorTiles(s *Server, ctx context.Context, _ *endpoint, rq request) result {
+	src := spdSource(rq.n)
+	m := tile.FromDense(src, rq.nb)
+	job, kernelErr := cholesky.SubmitKaapi(ctx, s.rt, m)
+	err := job.Wait()
+	// The non-SPD diagnostic beats the generic job error — except a panic,
+	// which stays visible to the retry decision: a panic-cancelled attempt
+	// can leave a half-factored tile that reports a spurious non-SPD error.
+	var pe *xkaapi.PanicError
+	if ke := kernelErr(); ke != nil && !errors.As(err, &pe) {
+		err = ke
+	}
+	residual := func() float64 { return tile.CholeskyResidual(src, m) }
+	return result{check: residual, stats: job.Stats(), err: err}
+}
+
+// fillCholesky reports the rate the client saw and, with verify=1, checks
+// the factor against the source via the ||LLᵀ-A||/||A|| residual (an O(n³)
 // check, off by default).
-func (s *Server) handleCholesky(w http.ResponseWriter, r *http.Request) {
-	n, err := intParam(r, "n", 192, s.maxChol)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	nb, err := intParam(r, "nb", min(64, n), n)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if n == 0 || nb == 0 {
-		http.Error(w, "n and nb must be positive", http.StatusBadRequest)
-		return
-	}
-	verify := r.URL.Query().Get("verify") == "1"
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	if s.shedOversized("cholesky", w, n) {
-		return
-	}
-	if !s.admit(&s.chol, w, ctx) {
-		return
-	}
-	defer s.release()
-	s.chaosDelay()
-
-	src := spdSource(n)
-	start := time.Now()
-	var m *tile.Tiled
-	var job *xkaapi.Job
-	var jerr error
-	// The factorization is in-place, so each panic-retry attempt restarts
-	// from a fresh tile copy. The retry decision looks at the raw job error,
-	// not the kernel diagnostic: a panic-cancelled attempt can leave a
-	// half-factored tile that reports a spurious non-SPD error.
-	for attempt := 0; ; attempt++ {
-		m = tile.FromDense(src, nb)
-		var kernelErr func() error
-		job, kernelErr = cholesky.SubmitKaapi(ctx, s.rt, m)
-		raw := job.Wait()
-		jerr = raw
-		if ke := kernelErr(); ke != nil {
-			jerr = ke // non-SPD diagnostic beats the generic job error
-		}
-		if !s.retryOnPanic(ctx, raw, attempt) {
-			break
-		}
-		s.chol.panicRetried.Add(1)
-	}
-	elapsed := time.Since(start)
-
-	rep := reply{
-		Endpoint:  "cholesky",
-		N:         n,
-		NB:        nb,
-		ElapsedNS: elapsed.Nanoseconds(),
-		Job:       job.Stats(),
-	}
-	if jerr != nil {
-		rep.Error = ErrorLine(jerr)
-	} else {
-		rep.Gflops = fltPtr(cholesky.Gflops(n, elapsed))
-		rep.OK = true
-		if verify {
-			res := tile.CholeskyResidual(src, m)
-			rep.Residual = fltPtr(res)
-			rep.OK = res < 1e-10
-			if !rep.OK {
-				rep.Error = "residual failed verification"
-			}
+func fillCholesky(rep *reply, rq request, res result, elapsed time.Duration) {
+	rep.Gflops = fltPtr(cholesky.Gflops(rq.n, elapsed))
+	rep.OK = true
+	if rq.verify {
+		residual := res.check()
+		rep.Residual = fltPtr(residual)
+		rep.OK = residual < 1e-10
+		if !rep.OK {
+			rep.Error = "residual failed verification"
 		}
 	}
-	writeJSON(w, s.finishJob(&s.chol, start, r.Context(), job.Stats(), jerr, rep.OK), rep)
 }
 
 // ErrorLine trims an error (PanicErrors carry a full stack) to its first
 // line, for JSON error fields and one-line logs.
 func ErrorLine(err error) string {
-	s := err.Error()
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	line, _, _ := strings.Cut(err.Error(), "\n")
+	return line
 }
