@@ -75,10 +75,11 @@ bench:
 # Time-based benchtime: iteration-count runs are dominated by warmup noise
 # and would make the trajectory useless for spotting regressions.
 # GOMAXPROCS is pinned to 1: every BENCH_<n>.json so far was recorded at
-# P = 1, and rows are only comparable at the same P.
+# P = 1, and rows are only comparable at the same P. The recorder is pinned
+# too: the artifact's "gomaxprocs" field is the recorder's own.
 .PHONY: bench-json
 bench-json:
-	GOMAXPROCS=1 $(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/xkbenchjson
+	GOMAXPROCS=1 $(GO) test -bench=. -benchtime=1s -benchmem -run='^$$' $(BENCH_PKGS) | GOMAXPROCS=1 $(GO) run ./cmd/xkbenchjson
 
 # bench-gate is the gating benchmark smoke: a fast fixed-iteration run
 # (-benchtime=100x, so it costs seconds per PR) whose allocs/op — which is

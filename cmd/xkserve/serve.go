@@ -26,7 +26,7 @@ func runServe(args []string) int {
 	shards := fs.Int("shards", 1, "scheduler shards behind the load-aware router (1 = single pool); workers are spread evenly across shards")
 	budget := fs.Int("budget", 0, "max in-flight jobs (0 = 2x workers)")
 	queue := fs.Int("queue", 0, "admission queue depth: requests beyond the budget wait here under their deadline (0 = 4x budget, -1 = no queue)")
-	batchWindow := fs.Duration("batch-window", 0, "coalescing window for /fib and /loop: concurrent requests within it, at most 8, are folded into one batched job (0 = 500µs default, -1ns = no batching)")
+	batchWindow := fs.Duration("batch-window", 0, "coalescing window for small requests (/fib n < 18, /loop n < 1000000; larger ones never wait): concurrent ones within it, at most 8, are folded into one batched job (0 = 500µs default, which an idle process rounds up to about 1ms; -1ns = no batching)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	maxFib := fs.Int("max-fib", 0, "cap on fib request size (0 = default)")

@@ -173,7 +173,12 @@ func main() {
 	// wait under their own deadline — 429 only when the queue itself is
 	// full — and concurrent small /fib and /loop requests coalesce, up to
 	// 8 per Config.BatchWindow, into one batched job (one submit, one
-	// fan-out, per-request sub-results). Config.SLO.P99 is the one latency
+	// fan-out, per-request sub-results). Small means a kernel under about a
+	// third of a millisecond — /fib n < 18, /loop n < 1 000 000; anything
+	// larger (the /fib?n=20 below) has nothing to amortize and is submitted
+	// at once as a job of its own. The 500µs default window holds a lone
+	// small request ≈ 1 ms in an idle process: Go's netpoller rounds a
+	// sub-millisecond timer sleep up. Config.SLO.P99 is the one latency
 	// target the brownout controller holds every endpoint to. /stats publishes
 	// p50/p90/p99 end-to-end and queue-wait latency per endpoint, and
 	// per-job stats come back in every response. `xkserve serve` runs this

@@ -6,9 +6,12 @@
 # 429s once budget AND admission queue are full. Phase 2 is the burst-SLO
 # probe: a 4x-budget burst of simultaneous /fib requests, fired with no
 # retry, must complete >= 90% as verified 200s within the SLO — the
-# admission queue (plus request coalescing) converts what used to be
-# instant 429s into completed responses — and /stats must publish the
-# per-endpoint latency quantiles. Phase 3 asserts /stats publishes live
+# admission queue converts what used to be instant 429s into completed
+# responses — and /stats must publish the per-endpoint latency quantiles.
+# Between the two, the coalescing rule: waves of simultaneous full-size
+# /loop and /fib requests (n at or above the row's coalesceBelow) must each
+# be a job of their own — no batch field in any reply, no batch counter of
+# /stats moved. Phase 3 asserts /stats publishes live
 # task counters: while /loop requests are in flight, the scheduler's
 # Executed count must advance (the per-worker counters are padded atomics,
 # so mid-flight reads are exact and race-free). Phase 4 SIGTERMs the server
@@ -41,6 +44,7 @@ SERVE3_LOG="${TMPDIR:-/tmp}/xkserve-ci-serve3.log"
 LOAD_LOG="${TMPDIR:-/tmp}/xkserve-ci-load.log"
 LOAD3_LOG="${TMPDIR:-/tmp}/xkserve-ci-load3.log"
 HEALTH_LOG="${TMPDIR:-/tmp}/xkserve-ci-health.log"
+WAVE_DIR="${TMPDIR:-/tmp}/xkserve-ci-wave"
 
 go build -o "$BIN" ./cmd/xkserve
 
@@ -49,7 +53,7 @@ SERVE_PID=$!
 SERVE2_PID=
 SERVE3_PID=
 HEALTH_PID=
-trap 'kill "$SERVE_PID" $SERVE2_PID $SERVE3_PID $HEALTH_PID 2>/dev/null || true' EXIT
+trap 'kill "$SERVE_PID" $SERVE2_PID $SERVE3_PID $HEALTH_PID 2>/dev/null || true; rm -rf "$WAVE_DIR"' EXIT
 
 # Budget 4, queue 16 (the 4x default): a cholesky burst of 24 overflows
 # both (4 running + 16 queued) and must see 429s for the remainder.
@@ -63,6 +67,44 @@ echo "== integration: mixed workload + over-capacity backpressure burst"
 echo "== integration: queued admission absorbs a 4x-budget fib burst within SLO"
 "$BIN" load -addr "http://$ADDR" -clients 0 -jobs 0 \
 	-fib 24 -fib-burst 16 -burst-slo 10s -burst-min-ok 0.9
+
+echo "== integration: full-size /loop and /fib requests skip the batch window"
+# Eight simultaneous requests per wave (4 run, 4 queue): were they sent
+# through the batcher, the ones admitted together would coalesce and the
+# endpoint's batches/batched counters would move. Every reply must be a
+# verified 200 that rode no batch.
+batch_counters() {
+	curl -s "http://$ADDR/stats" | grep -o '"batche[sd]": *[0-9]*' | tr '\n' ' '
+}
+mkdir -p "$WAVE_DIR"
+for path in "loop?n=4000000" "fib?n=22"; do
+	BEFORE=$(batch_counters)
+	WAVE_PIDS=
+	for i in 1 2 3 4 5 6 7 8; do
+		curl -sf "http://$ADDR/$path" >"$WAVE_DIR/$i.json" &
+		WAVE_PIDS="$WAVE_PIDS $!"
+	done
+	for pid in $WAVE_PIDS; do
+		wait "$pid" || {
+			echo "integration: a /$path request of the wave was not a 200" >&2
+			exit 1
+		}
+	done
+	for i in 1 2 3 4 5 6 7 8; do
+		if ! grep -q '"ok": true' "$WAVE_DIR/$i.json" || grep -q '"batch":' "$WAVE_DIR/$i.json"; then
+			echo "integration: /$path reply is unverified or rode a batch:" >&2
+			cat "$WAVE_DIR/$i.json" >&2
+			exit 1
+		fi
+	done
+	AFTER=$(batch_counters)
+	if [ -z "$BEFORE" ] || [ "$BEFORE" != "$AFTER" ]; then
+		echo "integration: batch counters moved across the /$path wave: $BEFORE -> $AFTER" >&2
+		exit 1
+	fi
+done
+rm -rf "$WAVE_DIR"
+echo "direct path OK (batch counters: $AFTER)"
 
 echo "== integration: /stats publishes per-endpoint latency quantiles + queue histograms"
 STATS=$(curl -s "http://$ADDR/stats")
@@ -164,8 +206,11 @@ echo "== integration: chaos: injected faults, shard supervision, graceful degrad
 # nonempty inbox) and re-admit it once the wedge lifts. The budget is wide
 # enough that the whole wave is in flight at once (a real backlog, not an
 # admission trickle) and -health-stall shortens the supervisor's patience
-# so the backlog trips the shard before sibling steals drain it. Request
-# sizes stay small so the per-attempt panic probability times the retry
+# so the backlog trips the shard before sibling steals drain it: the wave is
+# 64 x 16M iterations, about 350 ms of work, so even three idle sibling
+# shards on a 2-CPU box cannot empty the inbox inside the 100 ms patience
+# (at 8M the backlog lasted about that long and the trip was missed in one
+# run out of seven). Request sizes otherwise stay small so the per-attempt panic probability times the retry
 # budget keeps the failure odds negligible: both load runs verify every
 # response, so a single 500 fails the phase.
 "$BIN" serve -addr "$ADDR3" -shards 4 -workers 8 -budget 128 -timeout 30s \
@@ -187,7 +232,7 @@ LOAD3_PID=$!
 sleep 1
 # The wave lands inside the wedge window: every request pins to shard 1.
 "$BIN" load -addr "http://$ADDR3" -clients 0 -jobs 0 \
-	-hot-affinity 64 -hot-loop 8000000 -retries 3 || {
+	-hot-affinity 64 -hot-loop 16000000 -retries 3 || {
 	echo "integration: chaos affinity wave failed (an injected fault leaked into a response?)" >&2
 	cat "$SERVE3_LOG" >&2
 	exit 1

@@ -1,6 +1,10 @@
 package chaos
 
 import (
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +166,50 @@ func TestParse(t *testing.T) {
 	if _, err := Parse("panic:banana"); err == nil {
 		t.Fatal("bad seed accepted")
 	}
+}
+
+// FuzzChaosParse feeds arbitrary -chaos values to Parse: it never panics, it
+// switches chaos off exactly for the empty spec and "off", and an accepted
+// spec means what its fragments say — rewritten canonically (names
+// deduplicated and sorted, the effective seed spelled out) it parses to the
+// same settings, so order, repetition, spacing and the default seed cannot
+// change a scenario. The corpus is the specs integration.sh, the quickstart
+// and TestParse use, plus the grammar's edges.
+func FuzzChaosParse(f *testing.F) {
+	for _, spec := range []string{
+		"", "off", " off ", "all", "all:3", "panic:42", "panic+stall:42", "stall+panic:7",
+		"stall+panic+latency+wedge:7", "steal+inbox", " steal + inbox :9", "panic+panic+all",
+		"gremlins:1", "panic:banana", "panic:", ":5", "+", "panic+", "panic:-1", "panic:0",
+		"all:18446744073709551615", "all:18446744073709551616", "wedge:1:2",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if off := strings.TrimSpace(spec); (in == nil && err == nil) != (off == "" || off == "off") {
+			t.Fatalf("Parse(%q) = %v, %v: chaos must be off for the empty spec and \"off\" only", spec, in, err)
+		}
+		if err != nil || in == nil {
+			if err != nil && in != nil {
+				t.Fatalf("Parse(%q) returned an injector with error %v", spec, err)
+			}
+			return
+		}
+		sc := in.Scenario()
+		names, _, _ := strings.Cut(spec, ":") // an accepted spec has at most the seed's colon
+		set := map[string]bool{}
+		for _, name := range strings.Split(names, "+") {
+			set[strings.TrimSpace(name)] = true
+		}
+		canon := strings.Join(slices.Sorted(maps.Keys(set)), "+") + ":" + strconv.FormatUint(sc.Seed, 10)
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its canonical form %q rejected: %v", spec, canon, err)
+		}
+		if got := again.Scenario(); got != sc {
+			t.Fatalf("Parse(%q) = %+v, canonical %q = %+v", spec, sc, canon, got)
+		}
+	})
 }
 
 // TestInjectedPanicString: the panic value names its site and sequence so a

@@ -36,6 +36,47 @@ func BenchmarkSpawnBatch(b *testing.B) {
 	})
 }
 
+// fibClosure is the paper's Fig. 1 program the way users write it
+// (benchmark/w_fib.go, server.fibTask): every spawn builds a closure that
+// captures its arguments and a result slot that escapes with it.
+func fibClosure(w *Worker, n int, r *int64) {
+	if n < 2 {
+		*r = int64(n)
+		return
+	}
+	var a, b int64
+	w.Spawn(func(w *Worker) { fibClosure(w, n-1, &a) })
+	fibClosure(w, n-2, &b)
+	w.Sync()
+	*r = a + b
+}
+
+// BenchmarkSpawnClosure is BenchmarkSpawnExecute as users spawn: one op is
+// one spawn of a fib tree, closure and escaping slot included, which the
+// hoisted empty closure of SpawnExecute never pays. The 2 allocs/op are the
+// API's cost, not the descriptor's (bench_gates.json budgets them so a third
+// is noticed); a closure-free spawn is the ROADMAP's fork-join item. fib(n)
+// spawns fibSeq(n+1)-1 times, so b.N is met exactly by a greedy run of
+// trees, down to fib(2)'s single spawn.
+func BenchmarkSpawnClosure(b *testing.B) {
+	rt := NewRuntime(Config{Workers: 1})
+	defer rt.Close()
+	var spawns [21]int // spawns[n]: Spawn calls of one fibClosure(n) tree
+	for n := 2; n < len(spawns); n++ {
+		spawns[n] = 1 + spawns[n-1] + spawns[n-2]
+	}
+	b.ResetTimer()
+	rt.RunRoot(func(w *Worker) {
+		var r int64
+		for left, n := b.N, len(spawns)-1; left > 0; left -= spawns[n] {
+			for spawns[n] > left {
+				n--
+			}
+			fibClosure(w, n, &r)
+		}
+	})
+}
+
 // BenchmarkSpawnDataflow measures a dataflow task with one RW access
 // (frontier update, wait-count bookkeeping, successor release).
 func BenchmarkSpawnDataflow(b *testing.B) {

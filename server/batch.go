@@ -19,7 +19,8 @@ type batchItem struct {
 	done chan result
 }
 
-// batcher coalesces concurrent small-job requests into one batched root
+// batcher coalesces concurrent small requests — n below the row's
+// coalesceBelow; the pipeline sends nothing else here — into one batched root
 // job, in the channel-fed count-or-timeout style: the collector goroutine
 // takes the first item, gathers whatever else is already pending plus
 // anything arriving within the window (up to max items), and hands the
@@ -31,7 +32,11 @@ type batchItem struct {
 // one job allocation, one inbox transit, one failure domain, one context
 // registration — with one fan-out spawning N sub-tasks that the scheduler
 // load-balances like any other task tree. Per-request overhead that PR 3
-// paid N times is paid once per batch.
+// paid N times is paid once per batch. The price is the wait: a sub-
+// millisecond timer sleep is rounded up to about 1 ms by Go's netpoller when
+// every P is idle, so in a quiet process the default 500µs window holds a
+// lone request ≈ 1 ms — which is why only requests whose kernel is a small
+// fraction of that are asked to pay it.
 type batcher struct {
 	ch     chan *batchItem
 	stop   chan struct{}

@@ -52,10 +52,12 @@
 //     504/499 when the request dies while queued. The latency clock of
 //     /stats starts here, once, for every row.
 //  4. chaos delay — the fault-injection site (Config.Chaos); free when off.
-//  5. batch or submit — a row with a batch kernel joins the coalescing
-//     window unless the request carries an affinity pin; otherwise the
-//     row's attempt submits one job for the request and waits for it.
-//     elapsed_ns in the reply spans this stage and the next.
+//  5. batch or submit — a small request (n below the row's coalesceBelow:
+//     /fib n < 18, /loop n < 1 000 000) of a row with a batch kernel joins
+//     the coalescing window, unless it carries an affinity pin; every
+//     other request is a job of its own: the row's attempt submits it —
+//     the fleet router places it on the least-loaded shard — and waits for
+//     it. elapsed_ns in the reply spans this stage and the next.
 //  6. panic-retry — an attempt (or a whole batch) that fails with a task
 //     panic is resubmitted up to Config.PanicRetries times, by one loop
 //     that also folds every attempt's task counters into the row.
@@ -73,9 +75,10 @@
 //	cholesky  n, nb, verify, timeout   cholesky.SubmitKaapi on a  gflops; residual
 //	                                   fresh tile copy            < 1e-10 on verify=1
 //
-// fib and loop name only their kernel: it is what a coalesced batch runs per
-// member, and their attempt is the same kernel as a job of its own, so the
-// two paths cannot diverge. cholesky has no kernel and is never coalesced.
+// fib and loop name only their kernel and the size below which a request
+// is small: the kernel is what a coalesced batch runs per member, and their
+// attempt is the same kernel as a job of its own, so the two paths cannot
+// diverge. cholesky has no kernel and is never coalesced.
 // /healthz and /stats are not rows and bypass the pipeline. New, Close,
 // /stats, the brownout controller and the shedding gate iterate the table,
 // so a row is all an endpoint is.
@@ -105,11 +108,15 @@
 // admission entirely. QueueDepth < 0 disables the queue and restores the
 // instant-429 behaviour.
 //
+// An admitted request is then batched or submitted by its size: only a
+// small /fib or /loop request waits for partners (next section); a
+// full-size one, and every /cholesky, is submitted at once as one root job.
+//
 // # Request coalescing
 //
-// Admitted /fib and /loop requests pass through a per-endpoint batcher: a
-// count-or-timeout collection window (Config.BatchWindow, default 500µs;
-// at most 8 requests) folds concurrent small requests into ONE
+// Admitted small /fib and /loop requests pass through a per-endpoint
+// batcher: a count-or-timeout collection window (Config.BatchWindow, default
+// 500µs; at most 8 requests) folds concurrent small requests into ONE
 // runtime job — one SubmitCtx, one fan-out of per-request sub-tasks, one
 // set of job counters — instead of N jobs racing for the admission
 // budget. Each member still gets its own sub-result over a buffered
@@ -123,6 +130,20 @@
 // execution of the previous one. BatchWindow < 0 disables coalescing;
 // /cholesky requests are never coalesced (each one is already a full
 // dataflow job).
+//
+// Small is a per-row constant (coalesceBelow in builtinRows: /fib n < 18,
+// /loop n < 1 000 000): the size at which the kernel alone takes about a
+// third of a millisecond on one worker (BenchmarkKernelCost). Coalescing
+// can pay only below it — the scheduler's work-first rule, pay for
+// parallelism only when an idle core asks, applied to the front-end. A
+// larger request has nothing to amortize, the wait could double its
+// latency, and a batch is one root on one shard, so two coalesced 2 ms
+// loops would run back to back on one shard while another idles; it skips
+// the window and the fleet router places it like a /cholesky job.
+//
+// The window is longer than it reads: Go's netpoller rounds a timer sleep
+// below a millisecond up to about 1 ms when every P is idle, so in a quiet
+// process a lone small request waits ≈ 1 ms per window, not 500µs.
 //
 // # Status taxonomy
 //

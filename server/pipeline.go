@@ -35,8 +35,11 @@ type endpoint struct {
 	// error, including the verified ok (and the error line when it is false).
 	fill func(rep *reply, rq request, res result, elapsed time.Duration)
 	// kernel, when non-nil, computes the request as one sub-task of a shared
-	// job: the row's requests may then be coalesced (see batcher).
+	// job: the row's small requests may then be coalesced (see batcher).
 	kernel func(p *xkaapi.Proc, n int, out *int64)
+	// coalesceBelow is the size below which a kernel row's request is small:
+	// the only kind worth holding in the batch window (see builtinRows).
+	coalesceBelow int
 
 	batch *batcher // set by newServer for rows with a kernel; nil: one job per request
 	stats endpointStats
@@ -51,6 +54,7 @@ type endpoint struct {
 // request is one parsed, validated workload request.
 type request struct {
 	n       int
+	small   bool          // n < the row's coalesceBelow: the batcher may hold it for partners
 	nb      int           // tile size, for rows that tile (0 elsewhere)
 	verify  bool          // the client asked for the costly result check
 	key     uint64        // affinity pin (see xkaapi.Runtime.SubmitAffinity)
@@ -96,12 +100,15 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	admitted := time.Now()
 	s.chaosDelay()
 
-	// Affinity requests bypass the batcher: a batch is one job with one
-	// placement, which would silently override the pin of every member but
-	// the first.
+	// Only small requests join a batch: a full-size one has nothing to
+	// amortize by waiting out the window, and as a batch member it would be
+	// confined to its batch's shard instead of being a root the router places
+	// on the least-loaded one. Affinity requests bypass the batcher too: a
+	// batch is one job with one placement, which would silently override the
+	// pin of every member but the first.
 	start := time.Now()
 	res, done := result{}, false
-	if ep.batch != nil && !rq.hasKey {
+	if ep.batch != nil && rq.small && !rq.hasKey {
 		res, done = ep.batch.do(ctx, rq.n)
 	}
 	if !done {

@@ -3,12 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,12 +237,103 @@ func TestLatencyClockStartsAtAdmission(t *testing.T) {
 	}
 }
 
+// wave fires k simultaneous GETs of one URL and returns the replies, each of
+// which must be a verified 200.
+func wave(t *testing.T, url string, k int) []reply {
+	t.Helper()
+	reps := make([]reply, k)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := getJSON(t, url, &reps[i]); code != http.StatusOK || !reps[i].OK {
+				t.Errorf("GET %s: status %d reply %+v, want a verified 200", url, code, reps[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return reps
+}
+
+// TestOnlySmallRequestsCoalesce ranges over the kernel rows with a window
+// wide enough that simultaneous requests cannot miss each other, and checks
+// the one fork of the pipeline by its counters: a wave at coalesceBelow and
+// a wave of pinned small requests leave the batcher untouched, a wave just
+// below coalesceBelow rides it.
+func TestOnlySmallRequestsCoalesce(t *testing.T) {
+	const clients = 4
+	for _, proto := range builtinRows(Config{}) {
+		if proto.kernel == nil {
+			continue
+		}
+		t.Run(proto.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Budget: 2 * clients, BatchWindow: 100 * time.Millisecond})
+			ep := row(s, proto.name)
+			direct := func(query string) {
+				t.Helper()
+				for _, rep := range wave(t, ts.URL+"/"+ep.name+"?"+query, clients) {
+					if rep.Batch != 0 {
+						t.Errorf("%s: reply carries batch=%d, want a job of its own", query, rep.Batch)
+					}
+				}
+				if b, n := ep.stats.batches.Load(), ep.stats.batched.Load(); b != 0 || n != 0 {
+					t.Errorf("%s: batches=%d batched=%d, want 0: the request must not enter the batcher", query, b, n)
+				}
+			}
+			direct(fmt.Sprintf("n=%d", ep.coalesceBelow))
+			direct(fmt.Sprintf("n=%d&affinity=1", ep.coalesceBelow-1))
+
+			riders := 0
+			for _, rep := range wave(t, fmt.Sprintf("%s/%s?n=%d", ts.URL, ep.name, ep.coalesceBelow-1), clients) {
+				if rep.Batch >= 2 {
+					riders++
+				}
+			}
+			if n := ep.stats.batched.Load(); n < 2 || riders < 2 {
+				t.Errorf("n=%d: batched=%d and %d replies carry batch, want >= 2 of each inside a 100ms window",
+					ep.coalesceBelow-1, n, riders)
+			}
+		})
+	}
+}
+
+// TestFullSizeRequestsAreSeparateRoots: on a two-shard server two
+// simultaneous full-size /loop requests are two roots the router spreads,
+// so both shards execute tasks; coalesced they would be one root on one
+// shard. Placement of a single wave can be upset by a cross-shard steal,
+// so a few waves may be tried — each judged on its own counters.
+func TestFullSizeRequestsAreSeparateRoots(t *testing.T) {
+	s := New(Config{Workers: 2, Shards: 2, BatchWindow: 100 * time.Millisecond})
+	ts := startTestServer(t, s)
+	ep := row(s, "loop")
+	executed := func() (per [2]int64) {
+		s.rt.Wait()
+		for i, ss := range s.rt.ShardStats() {
+			per[i] = ss.Sched.Executed
+		}
+		return per
+	}
+	for range 5 {
+		before := executed()
+		wave(t, fmt.Sprintf("%s/loop?n=%d", ts.URL, 4*ep.coalesceBelow), 2)
+		after := executed()
+		if ep.stats.batches.Load() != 0 {
+			t.Fatalf("full-size /loop requests coalesced: batches=%d", ep.stats.batches.Load())
+		}
+		if after[0] > before[0] && after[1] > before[1] {
+			return
+		}
+	}
+	t.Errorf("five waves of two full-size /loop requests never ran on both shards: executed per shard %v", executed())
+}
+
 // FuzzParseRequest feeds arbitrary query strings to every row's parser: no
 // panic, and whatever is accepted is inside the row's bounds.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		"", "n=31", "n=-1", "n=x", "timeout=bogus", "n=999999999999", "n=0",
-		"n=18", "n=128&nb=32&verify=1", "n=64&nb=65", "n=10&timeout=40ms", "n=10&timeout=8760h",
+		"n=17", "n=18", "n=999999", "n=1000000", "n=128&nb=32&verify=1", "n=64&nb=65", "n=10&timeout=40ms", "n=10&timeout=8760h",
 		"n=5&affinity=7", "affinity=-1", "n=%zz", "n=1&n=2;nb", "timeout=-5s&nb=0",
 	} {
 		f.Add(seed)
@@ -257,6 +350,9 @@ func FuzzParseRequest(f *testing.F) {
 				}
 				if rq.n < 0 || rq.n > ep.maxN {
 					t.Errorf("%s accepted n=%d outside [0, %d] from %q", ep.name, rq.n, ep.maxN, query)
+				}
+				if rq.small != (rq.n < ep.coalesceBelow) {
+					t.Errorf("%s parsed n=%d as small=%v against coalesceBelow %d from %q", ep.name, rq.n, rq.small, ep.coalesceBelow, query)
 				}
 				if ep.name == "cholesky" && (rq.nb < 1 || rq.nb > rq.n) {
 					t.Errorf("cholesky accepted nb=%d outside [1, n=%d] from %q", rq.nb, rq.n, query)

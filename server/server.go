@@ -45,10 +45,13 @@ type Config struct {
 	// 429. Zero selects 4x the budget; negative disables queueing
 	// (instant 429, the pre-queue behavior).
 	QueueDepth int
-	// BatchWindow is the coalescing window for the small-job endpoints
-	// (/fib, /loop): concurrent requests arriving within it — at most
-	// batchMax of them — are folded into one batched root job. Zero selects
-	// 500µs; negative disables batching (one job per request).
+	// BatchWindow is the coalescing window for small requests to the
+	// kernel endpoints (/fib with n < 18, /loop with n < 1 000 000; larger
+	// ones are always a job of their own): concurrent small requests
+	// arriving within it — at most batchMax of them — are folded into one
+	// batched root job. Zero selects 500µs; negative disables batching (one
+	// job per request). In an idle process a window below a millisecond
+	// lasts ≈ 1 ms: Go's netpoller rounds the timer sleep up.
 	BatchWindow time.Duration
 	// DefaultTimeout is the per-request deadline applied when the client
 	// does not send a timeout parameter. Zero means no default deadline

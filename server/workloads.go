@@ -28,17 +28,31 @@ import (
 //	GET /cholesky?n=N&nb=NB[&verify=1]: one dataflow job factoring a
 //	deterministic SPD matrix of order N in NB-sized tiles.
 //
-// /fib and /loop have a kernel, so concurrent requests are coalesced into
-// one batched job when batching is enabled; they accept affinity=K, pinning
-// the job to shard K mod shards of a sharded runtime. /cholesky requests
-// are each a full dataflow job already and are never coalesced.
+// /fib and /loop have a kernel, so concurrent small requests are coalesced
+// into one batched job when batching is enabled; they accept affinity=K,
+// pinning the job to shard K mod shards of a sharded runtime. /cholesky
+// requests are each a full dataflow job already and are never coalesced.
+//
+// Small means n < the row's coalesceBelow: the size at which the kernel alone
+// takes about a third of a millisecond on one worker. From there on a perfect
+// batch saves under a tenth of the request's time, the window (≈ 1 ms in an
+// idle process, see Config.BatchWindow) can double it, and a batch — one root
+// on one shard — would keep the request off an idle shard: such a request is
+// a job of its own, placed by the fleet router. The rule is
+// about the work in hand, not about the batcher: whatever the window costs
+// small requests, a full-size one has nothing to amortize. Measured by
+// BenchmarkKernelCost (one worker, Submit → Wait, 2.1 GHz Xeon, µs per job):
+//
+//	empty job          1.2
+//	fib  n=16..21      178  268  425  618  965  1569
+//	loop n=250k..2M     91  168  335  641   (n doubling)
 func builtinRows(cfg Config) []*endpoint {
 	// A cap of zero (or below) selects the row's default.
 	orDefault := func(v, def int) int { return cmp.Or(max(v, 0), def) }
 	return []*endpoint{
-		{name: "fib", defN: 22, maxN: orDefault(cfg.MaxFib, 40), kernel: fibTask,
+		{name: "fib", defN: 22, maxN: orDefault(cfg.MaxFib, 40), kernel: fibTask, coalesceBelow: 18,
 			parse: parseSmall, fill: fillValue(FibSeq)},
-		{name: "loop", defN: 200_000, maxN: orDefault(cfg.MaxLoop, 50_000_000), kernel: loopKernel,
+		{name: "loop", defN: 200_000, maxN: orDefault(cfg.MaxLoop, 50_000_000), kernel: loopKernel, coalesceBelow: 1_000_000,
 			parse: parseSmall, fill: fillValue(func(n int) int64 { return int64(n) * int64(n-1) / 2 })},
 		{name: "cholesky", defN: 192, maxN: orDefault(cfg.MaxChol, 2048),
 			parse: parseCholesky, attempt: factorTiles, fill: fillCholesky},
@@ -102,11 +116,13 @@ func loopKernel(p *xkaapi.Proc, n int, out *int64) {
 	*out = sum.Load()
 }
 
-// parseSmall is parse for the kernel rows: size, deadline and the optional
-// affinity parameter, a uint64 key pinning the request's job to one shard
-// of a sharded runtime (see xkaapi.Runtime.SubmitAffinity).
+// parseSmall is parse for the kernel rows: size (and whether it is small
+// enough to coalesce), deadline and the optional affinity parameter, a
+// uint64 key pinning the request's job to one shard of a sharded runtime
+// (see xkaapi.Runtime.SubmitAffinity).
 func parseSmall(ep *endpoint, q url.Values, ceiling time.Duration) (request, error) {
 	rq, err := parseSize(ep, q, ceiling)
+	rq.small = rq.n < ep.coalesceBelow
 	if v := q.Get("affinity"); err == nil && v != "" {
 		rq.hasKey = true
 		if rq.key, err = strconv.ParseUint(v, 10, 64); err != nil {
