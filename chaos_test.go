@@ -42,7 +42,6 @@ func TestChaosSweepAcrossParadigms(t *testing.T) {
 				xkaapi.WithWorkers(4),
 				xkaapi.WithShards(shards),
 				xkaapi.WithSeed(seed),
-				xkaapi.WithoutPinning(),
 				xkaapi.WithChaos(inj),
 			)
 			sweepOnce(t, rt, inj)

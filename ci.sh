@@ -12,19 +12,11 @@
 # bench tier).
 set -eu
 
-# Analyzer fixtures under internal/analysis/*/testdata hold deliberately
-# bad code (that is the point of them) and are excluded from the gofmt
-# gate, matching the Makefile's fmt-check.
-echo "== gate: gofmt -l"
-unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -exec gofmt -l {} +)
-if [ -n "$unformatted" ]; then
-	echo "gofmt: files need formatting:" >&2
-	echo "$unformatted" >&2
-	exit 1
-fi
-
-echo "== gate: go vet ./..."
-go vet ./...
+# The gofmt and vet gates are the Makefile's own targets, so the list of
+# what they exempt (analyzer fixtures under */testdata hold deliberately bad
+# code) exists once.
+echo "== gate: gofmt -l, go vet ./... (make fmt-check vet)"
+make fmt-check vet
 
 # The old shell grep tripwire for duplicate PanicError definitions is now
 # the jobfailsingleton analyzer in internal/analysis, run by `make lint`.

@@ -125,7 +125,9 @@ type Worker struct {
 }
 
 // NewPool creates a pool with n workers (GOMAXPROCS(0) if n <= 0), each a
-// pinned goroutine; work reaches them through Submit or Run.
+// plain goroutine — no OS-thread lock, the one worker model all four
+// schedulers of the Fig. 1 table share; work reaches them through Submit or
+// Run.
 func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -377,8 +379,6 @@ func (w *Worker) steal() *task {
 }
 
 func (w *Worker) loop() {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	p := w.pool
 	defer p.wg.Done()
 	fails := 0

@@ -22,8 +22,8 @@ import (
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("xkserve serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker threads in the shared pool")
-	shards := fs.Int("shards", 1, "scheduler shards behind the load-aware router (1 = single pool); workers are spread evenly across shards")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "workers in the shared pool (plain goroutines, not locked OS threads; default one per P)")
+	shards := fs.Int("shards", 1, "scheduler shards behind the load-aware router (the pool is always a fleet; 1 = one shard); workers are spread across shards, ceil(workers/shards) each")
 	budget := fs.Int("budget", 0, "max in-flight jobs (0 = 2x workers)")
 	queue := fs.Int("queue", 0, "admission queue depth: requests beyond the budget wait here under their deadline (0 = 4x budget, -1 = no queue)")
 	batchWindow := fs.Duration("batch-window", 0, "coalescing window for small requests (/fib n < 18, /loop n < 1000000; larger ones never wait): concurrent ones within it, at most 8, are folded into one batched job (0 = 500µs default, which an idle process rounds up to about 1ms; -1ns = no batching)")
@@ -48,7 +48,7 @@ func runServe(args []string) int {
 		rtOpts = append(rtOpts, xkaapi.WithShards(*shards))
 	}
 	if *healthStall > 0 {
-		rtOpts = append(rtOpts, xkaapi.WithShardHealth(0, *healthStall))
+		rtOpts = append(rtOpts, xkaapi.WithShardHealth(*healthStall))
 	}
 	if inj != nil {
 		// One injector drives the whole stack: the scheduler sites through

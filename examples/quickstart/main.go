@@ -16,8 +16,9 @@
 // (7) deadline-aware bodies: every task sees its job's context through
 // Proc.Context — one failure state machine cancels it on panic, Cancel,
 // deadline or disconnect, in every paradigm layer of this module — and
-// (8) scaling out with shards: WithShards splits the pool into scheduler
-// shards behind a load-aware router, SubmitAffinity pins related jobs to
+// (8) scaling out with shards: a pool is always a fleet of scheduler shards
+// (one by default; a worker is a goroutine per P, not a locked OS thread)
+// and WithShards puts several behind the load-aware router, SubmitAffinity pins related jobs to
 // one shard, idle shards steal queued roots from loaded siblings, and
 // ShardStats shows placement and migration per shard, and
 // (9) fault injection: WithChaos arms a deterministic, seeded chaos
@@ -233,10 +234,11 @@ func main() {
 	fmt.Printf("deadline-aware job: processed %d blocks, err=%v\n",
 		blocks, errors.Is(err, context.DeadlineExceeded))
 
-	// 8. Scaling out with shards. One Runtime is one contention domain:
-	// every submit crosses one inbox. WithShards(4) builds four scheduler
-	// shards behind a load-aware router instead — same Submit/Run/Wait
-	// API, but each job lands on the least-loaded shard, SubmitAffinity
+	// 8. Scaling out with shards. Every Runtime is a fleet of scheduler
+	// shards; the default is one, and one shard is one contention domain:
+	// every submit crosses one inbox. WithShards(4) builds four shards
+	// behind the load-aware router — same Submit/Run/Wait API, same type,
+	// but each job lands on the least-loaded shard, SubmitAffinity
 	// pins jobs sharing a key to one shard (cache locality for related
 	// work), and a shard that backlogs sheds queued root jobs to idle
 	// siblings through cross-shard stealing. ShardStats breaks the

@@ -121,7 +121,7 @@ func TestStatsCountPanickedCancelled(t *testing.T) {
 // cancelled by each failure source — a sibling panic and an external
 // Job.Cancel — unblocking a parked body from another worker.
 func TestProcContextFacade(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	defer rt.Close()
 
 	// Sibling panic unblocks a body parked on Proc.Context().Done().
@@ -163,7 +163,7 @@ func TestProcContextFacade(t *testing.T) {
 // TestRunCtxDeadlineReachesBodies: RunCtx's deadline is visible inside
 // task bodies via Proc.Context and fails the job at expiry.
 func TestRunCtxDeadlineReachesBodies(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	defer rt.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

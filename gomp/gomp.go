@@ -84,8 +84,9 @@ type Team struct {
 	Throttle bool // apply the 64*threads task throttle (default on via NewTeam)
 }
 
-// NewTeam starts a team of n threads (GOMAXPROCS(0) if n <= 0). The calling
-// goroutine acts as thread 0 inside regions.
+// NewTeam starts a team of n threads (GOMAXPROCS(0) if n <= 0): plain
+// goroutines with no OS-thread lock, as in the other schedulers. The
+// calling goroutine acts as thread 0 inside regions.
 func NewTeam(n int) *Team {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -97,8 +98,6 @@ func NewTeam(n int) *Team {
 		tid := i + 1
 		tm.wg.Add(1)
 		go func(cmd chan *region) {
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			defer tm.wg.Done()
 			for r := range cmd {
 				r.run(tid)

@@ -56,10 +56,20 @@ HEALTH_PID=
 trap 'kill "$SERVE_PID" $SERVE2_PID $SERVE3_PID $HEALTH_PID 2>/dev/null || true; rm -rf "$WAVE_DIR"' EXIT
 
 # Budget 4, queue 16 (the 4x default): a cholesky burst of 24 overflows
-# both (4 running + 16 queued) and must see 429s for the remainder.
-echo "== integration: mixed workload + over-capacity backpressure burst"
+# both (4 running + 16 queued) and must see 429s for the remainder — as
+# long as no request finishes before the last one arrives. The 24 writes
+# land within a few milliseconds, so the burst asks for the benchmark of
+# record's order (n=1024 nb=128, tens of milliseconds each with the whole
+# pool to itself, more with four in flight): the overflow then follows from
+# the admission arithmetic, not from how fast the kernels are. With the
+# mixed workload's 0.4 ms requests the burst saw no 429 one run in ten.
+echo "== integration: over-capacity backpressure burst"
+"$BIN" load -addr "http://$ADDR" -clients 0 -jobs 0 \
+	-chol 1024 -nb 128 -burst 24 -expect-429
+
+echo "== integration: mixed workload"
 "$BIN" load -addr "http://$ADDR" -clients 6 -jobs 12 \
-	-fib 20 -loop 100000 -chol 128 -nb 32 -burst 24 -expect-429
+	-fib 20 -loop 100000 -chol 128 -nb 32
 
 # 4x-budget simultaneous /fib requests, no retry: the admission queue must
 # absorb the whole burst (16 = 4 slots + 12 of the 16 queue places) within

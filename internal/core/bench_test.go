@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -94,12 +93,10 @@ func BenchmarkSpawnDataflow(b *testing.B) {
 	})
 }
 
-// Ablation A3 (DESIGN.md): the owner-side cost of the Chase–Lev deque
-// versus a plain mutex-protected deque. The lock-free protocol keeps the
-// owner path at a handful of uncontended atomics — including the pop of the
-// last remaining task, which the old T.H.E. variant resolved under a mutex
-// and which is exactly the case a push-one/pop-one task cycle hits — so
-// task creation stays cheap under §II-C.
+// The owner-side cost of the Chase–Lev deque. The lock-free protocol keeps
+// the owner path at a handful of uncontended atomics — including the pop of
+// the last remaining task, which is exactly the case a push-one/pop-one
+// task cycle hits — so task creation stays cheap under §II-C.
 
 func BenchmarkDequeChaseLevPushPop(b *testing.B) {
 	var d deque
@@ -114,44 +111,9 @@ func BenchmarkDequeChaseLevPushPop(b *testing.B) {
 	}
 }
 
-type mutexDeque struct {
-	mu sync.Mutex
-	q  []*Task
-}
-
-func (d *mutexDeque) push(t *Task) {
-	d.mu.Lock()
-	d.q = append(d.q, t)
-	d.mu.Unlock()
-}
-
-func (d *mutexDeque) pop() *Task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.q) == 0 {
-		return nil
-	}
-	t := d.q[len(d.q)-1]
-	d.q = d.q[:len(d.q)-1]
-	return t
-}
-
-func BenchmarkDequeMutexPushPop(b *testing.B) {
-	var d mutexDeque
-	t := &Task{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.push(t)
-		if d.pop() == nil {
-			b.Fatal("lost task")
-		}
-	}
-}
-
-// Contended variants: a thief hammers the steal side while the owner
-// push/pops. This is where the lock-free protocol earns its keep — the
-// owner never blocks behind a thief (worst case it loses one head CAS),
-// while the mutex deque serializes owner against thief on every operation.
+// Contended variant: a thief hammers the steal side while the owner
+// push/pops. The owner never blocks behind a thief (worst case it loses one
+// head CAS).
 
 func BenchmarkDequeChaseLevContendedOwner(b *testing.B) {
 	var d deque
@@ -165,35 +127,6 @@ func BenchmarkDequeChaseLevContendedOwner(b *testing.B) {
 			default:
 			}
 			d.steal()
-		}
-	}()
-	tasks := [2]Task{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.push(&tasks[0])
-		d.push(&tasks[1])
-		d.pop()
-		d.pop()
-	}
-	b.StopTimer()
-	close(stop)
-}
-
-func BenchmarkDequeMutexContendedOwner(b *testing.B) {
-	var d mutexDeque
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			d.mu.Lock()
-			if len(d.q) > 0 {
-				d.q = d.q[1:]
-			}
-			d.mu.Unlock()
 		}
 	}()
 	tasks := [2]Task{}
@@ -254,8 +187,7 @@ func BenchmarkIntervalExtract(b *testing.B) {
 // This is the per-request constant a sharded server adds on top of the
 // single-runtime Submit path.
 func BenchmarkFleetSubmit(b *testing.B) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1})
 	defer f.Close()
 	const window = 256
 	b.ResetTimer()

@@ -12,7 +12,7 @@ import (
 
 // chaosRT builds a small unpinned runtime with the given injector.
 func chaosRT(inj *chaos.Injector) *Runtime {
-	return NewRuntime(Config{Workers: 4, DisablePinning: true, Chaos: inj})
+	return NewRuntime(Config{Workers: 4, Chaos: inj})
 }
 
 // spawnTree is a fork-join tree of depth d: every node spawns two children.
@@ -161,7 +161,7 @@ func TestChaosInboxDelay(t *testing.T) {
 func TestChaosDeterministicFailureSet(t *testing.T) {
 	run := func(seed uint64) uint64 {
 		inj := chaos.New(chaos.Scenario{Seed: seed, TaskPanic: 0.02})
-		rt := NewRuntime(Config{Workers: 1, DisablePinning: true, Chaos: inj})
+		rt := NewRuntime(Config{Workers: 1, Chaos: inj})
 		for i := 0; i < 50; i++ {
 			rt.Submit(func(w *Worker) { spawnTree(w, 4) }).Wait()
 		}

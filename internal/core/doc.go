@@ -7,8 +7,9 @@
 //
 // The pieces, and where the paper describes them:
 //
-//   - Worker / Runtime (worker.go, runtime.go): one worker per core, each
-//     owning a lock-free Chase–Lev deque (deque.go) in the role the paper
+//   - Worker / Runtime (worker.go, runtime.go): one worker per core — on
+//     Go, one plain goroutine per P; see "What a worker is on Go" below —
+//     each owning a lock-free Chase–Lev deque (deque.go) in the role the paper
 //     assigns to Cilk's T.H.E. protocol (§II-C): the owner pushes and pops
 //     at the bottom without synchronization beyond Go's (sequentially
 //     consistent) atomics, thieves CAS-claim the top, and the single
@@ -145,18 +146,34 @@
 //     found every victim empty skips further sweeps until the shard's
 //     epoch — bumped by work publication toward an idle pool — moves, so
 //     a parked-adjacent worker stops paying 2N probes per spin round for
-//     a fact it already knows. Stats.EpochSkips counts the skips;
-//     Config.NoWorkEpoch is the ablation knob.
+//     a fact it already knows. Stats.EpochSkips counts the skips.
 //
-// # Sharded fleets
+// # What a worker is on Go
+//
+// The paper's §II pool is one thread per core. Go offers no core affinity:
+// the unit it schedules onto cores is the P, and GOMAXPROCS already gives
+// one worker per P. A worker is therefore a plain goroutine and is not
+// locked to an OS thread. The lock would bind the goroutine to an M the
+// kernel still places freely, and turn every park, Gosched, wake
+// and GC stop-the-world into a futex hand-off between threads; 64 pools of
+// 4 workers made the process create over a hundred threads
+// (TestWorkersHoldNoThreads in the root package holds the count at zero).
+// The lock was measured on the benchmark of record before it was removed;
+// ROADMAP.md has the table. The comparator schedulers (cilk, tbbsched,
+// gomp) use the same worker model, so the Fig. 1 table compares schedulers
+// and not thread hand-offs.
+//
+// # Fleets
 //
 // On many-core machines a single Runtime is one contention domain: every
 // external submit crosses one inbox, and every idle worker probes the same
-// set of victims. Fleet (fleet.go) is the scale-out shape: N Runtime
-// shards, each a full scheduler of ShardSize workers, behind a load-aware
-// router. Both shapes satisfy the Pool interface (pool.go) — Submit,
-// SubmitCtx, SubmitAffinity, Wait, Close/CloseErr, Stats, ShardStats — so
-// everything above Pool is shard-agnostic.
+// set of victims. Fleet (fleet.go) is the pool: N >= 1 Runtime shards, each
+// a full scheduler of ShardSize workers, behind a load-aware router. There
+// is no second shape — the default pool is a fleet of one shard, for which
+// the router returns that shard, cross-shard stealing is off, no health
+// supervisor runs and no worker writes the progress epoch — so everything
+// above Fleet is shard-agnostic, and NewRuntime remains as what a shard is
+// and what this package's tests drive directly.
 //
 // Placement: each submission goes to the least-loaded shard, where load is
 // live root jobs plus queued inbox depth (queued roots count in both

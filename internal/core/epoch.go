@@ -33,10 +33,6 @@ package core
 // Reading the epoch before the sweep (not after) closes the publish-during-
 // sweep race: work pushed mid-sweep bumps the epoch past the recorded
 // value, so the next round sweeps again instead of skipping.
-//
-// Config.NoWorkEpoch disables the skip (the ablation knob for the probe
-// accounting tests, which assert that the epoch strictly lowers the
-// probes-per-park ratio on an idle-heavy pool).
 
 // bumpWorkEpoch advertises that work was published while some worker was
 // idle. One uncontended RMW, and only on the idle path — see above.
@@ -48,7 +44,7 @@ func (rt *Runtime) bumpWorkEpoch() {
 // still current, i.e. no work has been published (toward an idle pool)
 // since it was taken. Owner only.
 func (w *Worker) sweepSkippable() bool {
-	return w.sweepValid && w.rt.workEpoch.Load() == w.sweepEpoch && !w.rt.cfg.NoWorkEpoch
+	return w.sweepValid && w.rt.workEpoch.Load() == w.sweepEpoch
 }
 
 // noteEmptySweep records that a full steal sweep, begun when the shard

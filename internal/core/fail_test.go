@@ -132,7 +132,7 @@ func TestPanicInDataflowCancelsSuccessors(t *testing.T) {
 // TestPanicInAdaptiveSplitter: a splitter panics on the thief that invokes
 // it; the panic must fail the installing task's job, not kill the thief.
 func TestPanicInAdaptiveSplitter(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	j := rt.Submit(func(w *Worker) {
 		ad := &Adaptive{Split: func(thief *Worker, n int) []*Task {
@@ -252,7 +252,7 @@ func TestSubmitCtxPreCancelled(t *testing.T) {
 // TestJobCancelStopsScheduling: Cancel mid-flight stops new tasks of the
 // job from running; tasks already executing finish (cooperatively).
 func TestJobCancelStopsScheduling(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -286,7 +286,7 @@ func TestJobCancelStopsScheduling(t *testing.T) {
 // TestCancelledForEachStopsExtracting: a job cancelled while an adaptive
 // loop runs stops claiming iterations instead of finishing the range.
 func TestCancelledForEachStopsExtracting(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	var iters atomic.Int64
 	var j *Job
@@ -348,7 +348,7 @@ func TestCancelledForEachSerialPath(t *testing.T) {
 // authoritative: iterations are either executed or abort-credited, so
 // ForEach only returns once no body is in flight.
 func TestAbortedForEachWaitsForRunningChunks(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	inChunk := make(chan struct{})
 	release := make(chan struct{})
@@ -449,7 +449,7 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 // cancellation fan-out half of the shared failure state machine. The panic
 // is also the context's cause.
 func TestContextUnblocksOnSiblingPanic(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	blocked := make(chan struct{})
 	var sawCause error
@@ -501,7 +501,7 @@ func TestContextUnblocksOnJobCancel(t *testing.T) {
 // submission deadline through Proc.Context — Deadline() reports it, Done()
 // fires at expiry, and Wait reports context.DeadlineExceeded.
 func TestContextCarriesSubmitDeadline(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -527,7 +527,7 @@ func TestContextCarriesSubmitDeadline(t *testing.T) {
 // panic on its own worker, a timer, or the test goroutine), so the stress
 // cannot deadlock however the scheduler interleaves.
 func TestContextPropagationStress(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 4, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 4})
 	defer rt.Close()
 	jobs := 120
 	if testing.Short() {

@@ -10,24 +10,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// defaultShardSize is the worker count per shard when FleetConfig leaves it
-// zero: big enough that in-shard stealing amortizes, small enough that one
-// shard's inbox and stats block stay a private contention domain of a few
-// cores (one shard per core group).
-const defaultShardSize = 4
-
 // FleetConfig parameterizes a Fleet of Runtime shards.
 type FleetConfig struct {
-	// Shards is the number of Runtime replicas. Zero or negative selects
-	// max(1, GOMAXPROCS/ShardSize): one shard per core group.
+	// Shards is the number of Runtime replicas. Zero or negative selects 1.
 	Shards int
 	// ShardSize is the worker count per shard. Zero or negative selects
-	// defaultShardSize.
+	// runtime.GOMAXPROCS(0), as Config.Workers does.
 	ShardSize int
 	// NoSteal disables the cross-shard steal path, leaving only the router
 	// (ablation: pure least-load placement). A 1-shard fleet never steals.
@@ -35,7 +27,7 @@ type FleetConfig struct {
 	// Health tunes the shard health supervisor (health.go). The zero value
 	// enables it with the default cadence on any multi-shard fleet.
 	Health HealthConfig
-	// Runtime is the per-shard template: aggregation, pinning and the base
+	// Runtime is the per-shard template: aggregation, chaos and the base
 	// seed apply to every shard (each shard derives a distinct
 	// victim-selection stream from the seed). Workers is overridden by
 	// ShardSize.
@@ -47,8 +39,11 @@ type FleetConfig struct {
 // with an optional affinity key pinning related jobs to one shard), and an
 // idle shard's workers pull queued roots from a loaded sibling's inbox as
 // the slow-path rebalancer — the same cooperative stealing the in-shard
-// scheduler runs, lifted one level up. A Fleet is the multi-replica shape
-// of the Pool interface; create one with NewFleet.
+// scheduler runs, lifted one level up. A Fleet is the one pool shape clients
+// (the xkaapi facade and everything above it) program against: a plain pool
+// is a fleet of one shard, where route returns that shard, stealing is off,
+// no supervisor runs and no worker touches the progress epoch — nothing
+// fleet-specific is paid. Create one with NewFleet.
 type Fleet struct {
 	cfg     FleetConfig
 	shards  []*Runtime
@@ -64,15 +59,34 @@ type Fleet struct {
 	healthWG   sync.WaitGroup
 }
 
-// NewFleet builds the shards and starts their workers. The effective
-// configuration (defaults resolved) is available from Config.
+// ShardStats describes one shard of a Fleet for per-shard monitoring: where
+// the router placed work (LiveRoots, Sched.Spawned), where work actually ran
+// (Sched.Executed), and how much the cross-shard steal path migrated
+// (StolenIn/StolenOut). With stealing enabled the quiescent
+// Spawned == Executed + Cancelled balance holds fleet-wide, not per shard:
+// a migrated root is spawned on its home shard and executed where it was
+// stolen to.
+type ShardStats struct {
+	Shard     int   // shard index in [0, Shards)
+	Workers   int   // workers of this shard
+	InboxLen  int64 // roots queued in the shard's inbox, not yet claimed
+	LiveRoots int64 // roots accepted by this shard and not yet finished
+	StolenIn  int64 // roots this shard's workers pulled from sibling inboxes
+	StolenOut int64 // roots of this shard claimed by sibling shards
+
+	// Health supervision (health.go). Unhealthy means the supervisor is
+	// currently diverting placements away from this shard; transitions count
+	// both directions, so one full unhealthy-and-back episode adds 2.
+	Unhealthy         bool
+	HealthTransitions int64
+	RoutedAround      int64 // placements diverted away while unhealthy
+
+	Sched Stats // the shard's scheduler counters
+}
+
+// NewFleet builds the shards and starts their workers.
 func NewFleet(cfg FleetConfig) *Fleet {
-	if cfg.ShardSize <= 0 {
-		cfg.ShardSize = defaultShardSize
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = max(1, runtime.GOMAXPROCS(0)/cfg.ShardSize)
-	}
+	cfg.Shards = max(cfg.Shards, 1)
 	cfg.Runtime.Workers = cfg.ShardSize
 	if cfg.Runtime.Seed == 0 {
 		cfg.Runtime.Seed = defaultSeed
@@ -97,9 +111,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	f.startHealth()
 	return f
 }
-
-// Config returns the effective fleet configuration.
-func (f *Fleet) Config() FleetConfig { return f.cfg }
 
 // Shards returns the number of Runtime replicas.
 func (f *Fleet) Shards() int { return len(f.shards) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,7 @@ func waitDone(t *testing.T, j *Job, d time.Duration, what string) {
 // alone must keep the fleet live — a plain submit may not land behind the
 // busy shard's blocked worker when an idle shard exists (least-load wins).
 func TestFleetRoutePlacement(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 1, NoSteal: true,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 1, NoSteal: true})
 	defer f.Close()
 
 	release := make(chan struct{})
@@ -57,8 +57,7 @@ func TestFleetRoutePlacement(t *testing.T) {
 // deterministic key-mod-shards shard; with stealing off, no other shard
 // executes anything.
 func TestFleetAffinitySticks(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1, NoSteal: true,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1, NoSteal: true})
 	defer f.Close()
 
 	const key = 5 // pins shard 5 mod 4 = 1
@@ -87,8 +86,7 @@ func TestFleetAffinitySticks(t *testing.T) {
 // shards via cross-shard stealing, so completion itself proves migration;
 // the stolen_in counters then confirm the accounting.
 func TestFleetCrossShardStealUnderImbalance(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1})
 	defer f.Close()
 
 	const hot = 4
@@ -148,8 +146,7 @@ func TestFleetCrossShardStealUnderImbalance(t *testing.T) {
 // one blocked shard, a submit aimed at ANY shard — even one whose own
 // queue was long empty — is already rejected with ErrClosed.
 func TestFleetDrainRefusesEverywhere(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1, NoSteal: true,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1, NoSteal: true})
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -209,8 +206,7 @@ func TestFleetDrainRefusesEverywhere(t *testing.T) {
 // come back pre-failed with ErrClosed — never hang, never run after the
 // drain — and the fleet-level accounting must close.
 func TestFleetCloseSubmitStorm(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1})
 
 	const goroutines = 8
 	const perG = 50
@@ -258,10 +254,11 @@ func TestFleetCloseSubmitStorm(t *testing.T) {
 }
 
 // TestFleetDefaults: zero-value knobs resolve to the documented defaults
-// and a 1-shard fleet degrades to a plain pool with stealing off.
+// (one shard of GOMAXPROCS workers), and a one-shard fleet is a plain pool:
+// stealing off, no supervisor goroutine, and no worker ever touches the
+// progress epoch — nothing fleet-specific is paid.
 func TestFleetDefaults(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 3,
-		Runtime: Config{DisablePinning: true}})
+	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 3})
 	defer f.Close()
 	if got := f.Shards(); got != 2 {
 		t.Fatalf("Shards() = %d, want 2", got)
@@ -272,70 +269,32 @@ func TestFleetDefaults(t *testing.T) {
 	if got := len(f.ShardStats()); got != 2 {
 		t.Fatalf("len(ShardStats()) = %d, want 2", got)
 	}
+	if s := f.String(); !strings.Contains(s, "shards: 2") || !strings.Contains(s, "workers: 6") {
+		t.Fatalf("Fleet.String() = %q, want shard and worker counts", s)
+	}
 
-	one := NewFleet(FleetConfig{Shards: 1, ShardSize: 1,
-		Runtime: Config{DisablePinning: true}})
+	one := NewFleet(FleetConfig{})
 	defer one.Close()
+	if got, want := one.Shards(), 1; got != want {
+		t.Fatalf("zero config: Shards() = %d, want %d", got, want)
+	}
+	if got, want := one.NumWorkers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("zero config: NumWorkers() = %d, want GOMAXPROCS = %d", got, want)
+	}
 	if !one.noSteal {
 		t.Fatal("1-shard fleet must disable cross-shard stealing")
 	}
-}
-
-// TestShardAwareString: a fleet shard identifies itself as shard i/N, a
-// standalone runtime keeps the classic format, and the fleet names its
-// shape — so a log line can never pass a shard off as a whole pool.
-func TestShardAwareString(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 1,
-		Runtime: Config{DisablePinning: true}})
-	defer f.Close()
-	if s := f.String(); !strings.Contains(s, "Fleet") || !strings.Contains(s, "shards: 2") {
-		t.Fatalf("Fleet.String() = %q, want shard count", s)
+	if one.healthStop != nil {
+		t.Fatal("1-shard fleet started a health supervisor")
 	}
-	if s := f.shards[1].String(); !strings.Contains(s, "shard: 1/2") {
-		t.Fatalf("shard String() = %q, want \"shard: 1/2\"", s)
+	if err := one.RunRoot(func(w *Worker) {
+		for i := 0; i < 4*statFlushEvery; i++ {
+			w.Spawn(func(*Worker) {})
+		}
+	}); err != nil {
+		t.Fatalf("RunRoot: %v", err)
 	}
-
-	rt := NewRuntime(Config{Workers: 1, DisablePinning: true})
-	defer rt.Close()
-	if s := rt.String(); strings.Contains(s, "shard:") {
-		t.Fatalf("standalone String() = %q, must not claim a shard index", s)
-	}
-}
-
-// TestPoolInterface: both shapes drive through the one Pool interface,
-// including the single-runtime degenerate forms of the shard methods.
-func TestPoolInterface(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		pool   Pool
-		shards int
-	}{
-		{"runtime", NewRuntime(Config{Workers: 2, DisablePinning: true}), 1},
-		{"fleet", NewFleet(FleetConfig{Shards: 2, ShardSize: 1,
-			Runtime: Config{DisablePinning: true}}), 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := tc.pool
-			defer p.Close()
-			var ran atomic.Int64
-			p.Submit(func(*Worker) { ran.Add(1) })
-			p.SubmitCtx(context.Background(), func(*Worker) { ran.Add(1) })
-			p.SubmitAffinity(context.Background(), 7, func(*Worker) { ran.Add(1) })
-			if err := p.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			if ran.Load() != 3 {
-				t.Fatalf("ran %d bodies, want 3", ran.Load())
-			}
-			if got := p.Shards(); got != tc.shards {
-				t.Fatalf("Shards() = %d, want %d", got, tc.shards)
-			}
-			if got := len(p.ShardStats()); got != tc.shards {
-				t.Fatalf("len(ShardStats()) = %d, want %d", got, tc.shards)
-			}
-			if s := p.Stats(); s.Executed < 3 {
-				t.Fatalf("Stats().Executed = %d, want >= 3", s.Executed)
-			}
-		})
+	if got := one.shards[0].progress.Load(); got != 0 {
+		t.Fatalf("1-shard fleet bumped its progress epoch %d times, want 0", got)
 	}
 }

@@ -29,8 +29,7 @@ func pollUntil(t *testing.T, d time.Duration, cond func() bool) bool {
 func TestRouteSkipsUnhealthy(t *testing.T) {
 	f := NewFleet(FleetConfig{
 		Shards: 3, ShardSize: 1,
-		Health:  HealthConfig{Disable: true},
-		Runtime: Config{DisablePinning: true},
+		Health: HealthConfig{Disable: true},
 	})
 	defer f.Close()
 
@@ -73,8 +72,7 @@ func TestRouteSkipsUnhealthy(t *testing.T) {
 func TestSupervisorTripsAndReadmits(t *testing.T) {
 	f := NewFleet(FleetConfig{
 		Shards: 2, ShardSize: 1, NoSteal: true,
-		Health:  HealthConfig{CheckEvery: 5 * time.Millisecond, StallAfter: 30 * time.Millisecond},
-		Runtime: Config{DisablePinning: true},
+		Health: HealthConfig{CheckEvery: 5 * time.Millisecond, StallAfter: 30 * time.Millisecond},
 	})
 	defer f.Close()
 
@@ -147,8 +145,7 @@ func TestSupervisorTripsAndReadmits(t *testing.T) {
 func TestSupervisorIgnoresBusyShard(t *testing.T) {
 	f := NewFleet(FleetConfig{
 		Shards: 2, ShardSize: 1, NoSteal: true,
-		Health:  HealthConfig{CheckEvery: 2 * time.Millisecond, StallAfter: 10 * time.Millisecond},
-		Runtime: Config{DisablePinning: true},
+		Health: HealthConfig{CheckEvery: 2 * time.Millisecond, StallAfter: 10 * time.Millisecond},
 	})
 	defer f.Close()
 	var jobs []*Job
@@ -186,7 +183,7 @@ func TestWedgedShardTripsAndRecovers(t *testing.T) {
 	f := NewFleet(FleetConfig{
 		Shards: 2, ShardSize: 2, NoSteal: true,
 		Health:  HealthConfig{CheckEvery: 5 * time.Millisecond, StallAfter: 40 * time.Millisecond},
-		Runtime: Config{DisablePinning: true, Chaos: inj},
+		Runtime: Config{Chaos: inj},
 	})
 	defer f.Close()
 

@@ -193,14 +193,6 @@ func (rt *Runtime) Submit(fn func(*Worker)) *Job {
 	return rt.SubmitCtx(context.Background(), fn)
 }
 
-// SubmitAffinity is SubmitCtx on a standalone Runtime: with a single shard
-// there is no placement to pin, so the key is ignored. It exists so Pool
-// users can pass affinity hints without caring whether a Fleet is behind
-// the interface.
-func (rt *Runtime) SubmitAffinity(ctx context.Context, _ uint64, fn func(*Worker)) *Job {
-	return rt.SubmitCtx(ctx, fn)
-}
-
 // newRoot builds the job handle — its failure state bound to parent
 // (Background if nil) — and its root task, and registers the job with the
 // runtime. ok reports whether the runtime accepted it; on false the job is

@@ -10,8 +10,8 @@ import (
 	"xkaapi/internal/chaos"
 )
 
-// jobStatsStressPool is the slice of the Pool surface this stress test
-// needs, so one harness covers a single Runtime and a sharded Fleet.
+// jobStatsStressPool is the slice of the submission surface this stress
+// test needs, so one harness covers a bare shard and a sharded Fleet.
 type jobStatsStressPool interface {
 	Submit(fn func(*Worker)) *Job
 	Stats() Stats
@@ -106,7 +106,7 @@ func TestJobStatsStress(t *testing.T) {
 		WorkerStall: chaos.Pulse{Prob: 0.02, For: 100 * time.Microsecond},
 	}
 	t.Run("runtime", func(t *testing.T) {
-		rt := NewRuntime(Config{Workers: 4, DisablePinning: true, Chaos: chaos.New(scenario)})
+		rt := NewRuntime(Config{Workers: 4, Chaos: chaos.New(scenario)})
 		defer rt.Close()
 		stressJobStats(t, rt)
 	})
@@ -114,7 +114,7 @@ func TestJobStatsStress(t *testing.T) {
 		f := NewFleet(FleetConfig{
 			Shards:    2,
 			ShardSize: 2,
-			Runtime:   Config{DisablePinning: true, Chaos: chaos.New(scenario)},
+			Runtime:   Config{Chaos: chaos.New(scenario)},
 		})
 		defer f.Close()
 		stressJobStats(t, f)

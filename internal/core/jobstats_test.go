@@ -36,7 +36,7 @@ func waitJobStats(t *testing.T, name string, j *Job, want JobStats) {
 // job that owns them: two concurrent jobs of different widths must report
 // disjoint, exact Executed counts once their workers have flushed.
 func TestJobStatsAttribution(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 4, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 4})
 	defer rt.Close()
 
 	spawnTree := func(n int) func(*Worker) {
@@ -64,7 +64,7 @@ func TestJobStatsAttribution(t *testing.T) {
 // attributed to the same job's Cancelled counter, while an innocent
 // concurrent job stays clean.
 func TestJobStatsPanicAttribution(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 
 	bad := rt.Submit(func(w *Worker) {
@@ -105,7 +105,7 @@ func TestJobStatsPanicAttribution(t *testing.T) {
 // at all — the children are counted spawned-and-cancelled without ever
 // being allocated or pushed.
 func TestEagerCancelNoDequeTraffic(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 1, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 1})
 	defer rt.Close()
 
 	const extra = 16
@@ -155,7 +155,7 @@ func TestEagerCancelNoDequeTraffic(t *testing.T) {
 // failures of the drained jobs, and that a failure is reported by exactly
 // one drain.
 func TestWaitAggregatesErrors(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 
 	rt.Submit(func(*Worker) {}).Wait()
@@ -187,7 +187,7 @@ func TestWaitAggregatesErrors(t *testing.T) {
 // TestWaitErrorCap checks that a flood of failures is capped: Wait retains
 // maxDrainErrs individual errors and summarizes the rest by count.
 func TestWaitErrorCap(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 
 	const n = maxDrainErrs + 7

@@ -9,9 +9,10 @@ import (
 	"xkaapi/internal/chaos"
 )
 
-// Config parameterizes a Runtime. The zero value gives the defaults the
-// paper uses: one worker per core, threads pinned, steal-request aggregation
-// enabled.
+// Config parameterizes a Runtime. The zero value gives the paper's defaults
+// as they land on Go: one worker goroutine per P — the unit that plays the
+// paper's core; no worker is locked to an OS thread (worker.go says why) —
+// and steal-request aggregation enabled.
 type Config struct {
 	// Workers is the number of scheduling threads. Zero or negative selects
 	// runtime.GOMAXPROCS(0), the Go analogue of one thread per core.
@@ -19,17 +20,9 @@ type Config struct {
 	// NoAggregation disables steal-request aggregation; each thief then
 	// locks the victim's deque itself (ablation of §II-C).
 	NoAggregation bool
-	// DisablePinning keeps workers as ordinary goroutines instead of locking
-	// each to an OS thread.
-	DisablePinning bool
 	// Seed is the base seed for per-worker victim-selection RNGs. Zero
 	// selects a fixed default, making victim sequences reproducible.
 	Seed uint64
-	// NoWorkEpoch disables the work-presence epoch (epoch.go): idle-
-	// adjacent workers then re-sweep every victim each spin round instead
-	// of skipping sweeps whose result cannot have changed (ablation knob
-	// for the steal-probe accounting tests).
-	NoWorkEpoch bool
 	// Chaos installs a fault injector: task-body panics, steal-probe
 	// misses, worker stalls, inbox delivery delays and shard wedges are
 	// then drawn from its seeded decision streams. nil (the default)
@@ -38,11 +31,14 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// Runtime owns the worker pool. Create one with NewRuntime, submit work with
-// Submit (any number of concurrent jobs, from any goroutines) or the
-// blocking RunRoot wrapper, and release the workers with Close. All jobs
-// multiplex over the same workers: independent roots flow through one MPSC
-// inbox and are scheduled side by side by work stealing.
+// Runtime is one scheduler shard: a worker pool, its MPSC inbox and its
+// counters. Clients reach it through a Fleet (fleet.go) of one or more
+// shards; NewRuntime builds a bare shard, which is what this package's
+// tests drive. Submit work with Submit (any number of concurrent jobs, from
+// any goroutines) or the blocking RunRoot wrapper, and release the workers
+// with Close. All jobs multiplex over the same workers: independent roots
+// flow through one MPSC inbox and are scheduled side by side by work
+// stealing.
 type Runtime struct {
 	cfg     Config
 	workers []*Worker
@@ -58,17 +54,15 @@ type Runtime struct {
 	// workers bump it as they publish executed batches, so a fleet
 	// supervisor can tell "busy" from "wedged" without touching the task
 	// path. unhealthy diverts the router; the flip/divert counters feed
-	// ShardStats. All four are fleet-only (standalone runtimes never write
-	// them beyond the progress epoch's shardTotal gate).
+	// ShardStats. All four are written only in a fleet of two or more shards
+	// (flushStats gates the progress bump on shardTotal > 1).
 	progress     atomic.Int64
 	unhealthy    atomic.Bool
 	healthFlips  atomic.Int64 // healthy <-> unhealthy transitions
 	routedAround atomic.Int64 // placements diverted away while unhealthy
 
 	// Fleet identity, wired by NewFleet before the workers start and never
-	// written again: nil/0/0 for a standalone runtime. shardTotal > 0 marks
-	// the runtime as one shard of a fleet (String and ShardStats report it
-	// as such instead of as a standalone pool).
+	// written again: nil/0/0 for a bare NewRuntime shard.
 	fleet      *Fleet
 	shardIndex int
 	shardTotal int
@@ -253,17 +247,7 @@ func (rt *Runtime) noteFailed(err error) {
 // NumWorkers returns the size of the worker pool.
 func (rt *Runtime) NumWorkers() int { return len(rt.workers) }
 
-// Config returns the effective configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Shards returns 1: a standalone Runtime is the single shard of its own
-// pool, and a Runtime inside a Fleet still answers for itself only —
-// fleet-level fan-out is the Fleet's job.
-func (rt *Runtime) Shards() int { return 1 }
-
-// ShardStats returns this runtime's single shard entry.
-func (rt *Runtime) ShardStats() []ShardStats { return []ShardStats{rt.shardStats()} }
-
+// shardStats is this shard's entry of Fleet.ShardStats.
 func (rt *Runtime) shardStats() ShardStats {
 	return ShardStats{
 		Shard:             rt.shardIndex,
@@ -325,18 +309,6 @@ func (rt *Runtime) ResetStats() {
 	for _, w := range rt.workers {
 		w.stats.reset()
 	}
-}
-
-// String describes the runtime configuration. A runtime that is one shard
-// of a fleet says so — a log line from a 4-shard server must be
-// attributable to its shard, not read like a standalone pool.
-func (rt *Runtime) String() string {
-	if rt.shardTotal > 0 {
-		return fmt.Sprintf("xkaapi.Runtime{shard: %d/%d, workers: %d, aggregation: %v}",
-			rt.shardIndex, rt.shardTotal, len(rt.workers), !rt.cfg.NoAggregation)
-	}
-	return fmt.Sprintf("xkaapi.Runtime{workers: %d, aggregation: %v}",
-		len(rt.workers), !rt.cfg.NoAggregation)
 }
 
 // maybeWake signals one parked worker if any worker is idle. The push it

@@ -15,7 +15,7 @@ import (
 // race-free against the task hot path — the property the old plain-int
 // counters could not offer.
 func TestLiveStatsExecutedMonotoneDuringJob(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 
 	total := 20_000
@@ -74,7 +74,7 @@ func TestLiveStatsExecutedMonotoneDuringJob(t *testing.T) {
 // visible in Stats().Cancelled without waiting for quiescence, and the
 // quiescent Spawned == Executed + Cancelled invariant still closes.
 func TestLiveStatsCancelledPublishedLive(t *testing.T) {
-	rt := NewRuntime(Config{Workers: 2, DisablePinning: true})
+	rt := NewRuntime(Config{Workers: 2})
 	defer rt.Close()
 
 	var release atomic.Bool

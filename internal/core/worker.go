@@ -17,10 +17,13 @@ import (
 	"xkaapi/internal/xrand"
 )
 
-// Worker is one scheduling thread of the runtime. By default the runtime
-// creates one worker per core (§II of the paper); each worker owns a deque of
-// ready tasks, a request box through which thieves ask it for work, and a
-// free list of recycled Task objects.
+// Worker is one scheduling thread of the runtime — on Go, a plain goroutine.
+// By default the runtime creates one worker per P (GOMAXPROCS), the unit
+// that plays the paper's core (§II); each worker owns a deque of ready
+// tasks, a request box through which thieves ask it for work, and a free
+// list of recycled Task objects. A worker is not locked to an OS thread: Go
+// has no core affinity, so the lock would only add a futex hand-off to every
+// park, Gosched, wake and GC stop-the-world (doc.go has the measurement).
 //
 // A Worker is handed to every task body as its execution context: spawning,
 // syncing and parallel loops are methods on it. Task bodies must only use the
@@ -131,10 +134,11 @@ func (w *Worker) spawnedTotal() int64 {
 // flushStats publishes the worker's cached increments into the padded
 // atomics any goroutine may read. Owner-only; called every statFlushEvery
 // increments and whenever the worker transitions toward idleness, so a
-// quiescent pool always has fully published counters. A fleet shard also
-// advances its progress epoch here — one shared add per published executed
-// batch, not per task — which is how the health supervisor tells a busy
-// shard from a wedged one without touching the task path.
+// quiescent pool always has fully published counters. A shard with siblings
+// also advances its progress epoch here — one shared add per published
+// executed batch, not per task — which is how the health supervisor tells a
+// busy shard from a wedged one without touching the task path. A one-shard
+// fleet has no supervisor (health.go) and skips the add.
 func (w *Worker) flushStats() {
 	c := &w.cache
 	if c.spawned != 0 {
@@ -144,7 +148,7 @@ func (w *Worker) flushStats() {
 	if c.executed != 0 {
 		w.stats.executed.Add(c.executed)
 		c.executed = 0
-		if rt := w.rt; rt.shardTotal > 0 {
+		if rt := w.rt; rt.shardTotal > 1 {
 			rt.progress.Add(1)
 		}
 	}
@@ -617,14 +621,6 @@ const idleRoundsBeforePark = 4
 // exposes their parallelism to the other workers.
 func (w *Worker) run() {
 	rt := w.rt
-	if !rt.cfg.DisablePinning {
-		// One worker per core, pinned to an OS thread for the lifetime of
-		// the runtime, mirroring the paper's thread-per-core pool. The Go
-		// scheduler still owns thread placement, but a locked goroutine
-		// never migrates or shares its thread.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	defer rt.wg.Done()   //xk:allow(hotpath): once per worker lifetime, not per task
 	defer w.flushStats() // publish cached counters before Close's wg.Wait returns
 	fails := 0

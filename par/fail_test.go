@@ -79,7 +79,7 @@ func TestForEachReportsPanic(t *testing.T) {
 // TestDoContextUnblocksOnSiblingPanic: a Do sibling parked on
 // Proc.Context's Done channel is released by another sibling's panic.
 func TestDoContextUnblocksOnSiblingPanic(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	defer rt.Close()
 	blocked := make(chan struct{})
 	err := Do(rt,
@@ -101,7 +101,7 @@ func TestDoContextUnblocksOnSiblingPanic(t *testing.T) {
 // TestDoCtxDeadline: DoCtx fails the whole sibling group at the parent
 // deadline, releasing siblings parked on the job context.
 func TestDoCtxDeadline(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	defer rt.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -117,7 +117,7 @@ func TestDoCtxDeadline(t *testing.T) {
 // TestForEachCtxCancelled: cancelling the loop's context aborts it with
 // the context error instead of finishing the range.
 func TestForEachCtxCancelled(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	defer rt.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once

@@ -16,7 +16,7 @@ import (
 //
 //	go test -run '^$' -bench KernelCost -benchtime 300x ./server
 func BenchmarkKernelCost(b *testing.B) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(1))
 	defer rt.Close()
 	solve := func(b *testing.B, kernel func(*xkaapi.Proc, int, *int64), n int, want int64) {
 		for b.Loop() {

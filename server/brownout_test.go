@@ -193,7 +193,7 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 // and /stats records the retries.
 func TestPanicRetriesServeThrough(t *testing.T) {
 	inj := xkaapi.NewChaosInjector(xkaapi.ChaosScenario{Seed: 11, TaskPanic: 0.01})
-	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithoutPinning(), xkaapi.WithChaos(inj))
+	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithChaos(inj))
 	s, ts := newTestServer(t, Config{Runtime: rt, PanicRetries: 25, Chaos: inj})
 	for i := 0; i < 30; i++ {
 		resp, err := http.Get(ts.URL + "/fib?n=8")

@@ -187,8 +187,9 @@
 //
 // # Sharding
 //
+// The runtime is always a fleet of scheduler shards, one by default.
 // Config.Shards > 1 (with Config.Runtime nil; or an externally built
-// xkaapi.New(WithShards(n)) runtime) puts a sharded fleet behind the same
+// xkaapi.New(WithShards(n)) runtime) puts several behind the same
 // endpoints: each request's job is placed on the least-loaded scheduler
 // shard, and idle shards steal queued root jobs from loaded siblings, so
 // one heavy endpoint cannot monopolize the pool's locality domain. The
@@ -224,8 +225,8 @@
 // Shard health (the runtime's supervisor, on sharded pools): workers
 // publish a progress epoch, and a shard whose epoch freezes while its
 // inbox holds work — every worker wedged, descheduled, or stuck — is
-// marked unhealthy after a stall threshold (default 400ms, tunable via
-// xkaapi.WithShardHealth). The router places new jobs elsewhere (pinned
+// marked unhealthy after a stall threshold (default 400ms;
+// xkaapi.WithShardHealth(stallAfter) sets it). The router places new jobs elsewhere (pinned
 // affinity jobs divert to the next healthy shard), siblings keep pulling
 // the backlog over, and the shard is re-admitted as soon as it makes
 // progress again or is drained and demonstrably responsive. /stats

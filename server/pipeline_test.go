@@ -175,7 +175,7 @@ func TestTableRowIsAnEndpoint(t *testing.T) {
 		},
 		fill: fillValue(func(n int) int64 { return int64(n) })}
 
-	cfg := Config{Runtime: xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning()),
+	cfg := Config{Runtime: xkaapi.New(xkaapi.WithWorkers(2)),
 		Budget: 1, QueueDepth: -1, PanicRetries: 1, SLO: SLO{P99: 20 * time.Millisecond, Tick: time.Hour}}
 	s := newServer(cfg, append(builtinRows(cfg), echo))
 	url := startTestServer(t, s).URL

@@ -33,8 +33,8 @@ type Config struct {
 	Workers int
 	// Shards splits the self-built runtime into that many scheduler
 	// shards behind the load-aware router (see xkaapi.WithShards); the
-	// Workers are spread evenly across them. Zero or one keeps a single
-	// pool. Ignored when Runtime is provided.
+	// Workers are spread across them, ⌈Workers/Shards⌉ each. Zero or one
+	// keeps the default one shard. Ignored when Runtime is provided.
 	Shards int
 	// Budget bounds the jobs in flight at once. Zero or negative selects
 	// 2x the worker count.

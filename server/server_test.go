@@ -18,7 +18,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Runtime == nil {
-		cfg.Runtime = xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithoutPinning())
+		cfg.Runtime = xkaapi.New(xkaapi.WithWorkers(4))
 	}
 	s := New(cfg)
 	return s, startTestServer(t, s)
@@ -166,7 +166,7 @@ func TestBackpressure429NoQueue(t *testing.T) {
 // waits in the admission queue instead of being 429'd, and /stats reports
 // the queue traffic.
 func TestQueueAbsorbsBurst(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(2), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(2))
 	s, ts := newTestServer(t, Config{Runtime: rt, Budget: 1}) // queue defaults to 4
 
 	const clients = 5 // 1 slot + 4 queued: exactly at capacity
@@ -320,7 +320,7 @@ func TestQueueFull429(t *testing.T) {
 // returns, no acquire that began afterwards can be admitted — including
 // after slots free up — and every waiter already queued is refused.
 func TestNoAdmissionAfterStartDrain(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(1))
 	t.Cleanup(func() { rt.Close() })
 	s := New(Config{Runtime: rt, Budget: 1})
 	defer s.Close()
@@ -353,7 +353,7 @@ func TestNoAdmissionAfterStartDrain(t *testing.T) {
 // the race detector: any acquire that starts after StartDrain returned
 // must be refused.
 func TestDrainAdmitRaceHammer(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(1))
 	t.Cleanup(func() { rt.Close() })
 	s := New(Config{Runtime: rt, Budget: 2})
 	defer s.Close()
@@ -399,7 +399,7 @@ func TestDrainAdmitRaceHammer(t *testing.T) {
 // cross-deliver — and (b) at least one batch actually coalesced. Run under
 // -race via `make race`.
 func TestBatchCoalescing(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(4))
 	s, ts := newTestServer(t, Config{
 		Runtime:     rt,
 		Budget:      16,
@@ -511,7 +511,7 @@ func TestCholeskyDefaultNBClamped(t *testing.T) {
 // disconnect only when the request's own context died; a server-side
 // cancellation with a live request context is 503 and counted separately.
 func TestServerCancelNotClientDisconnect(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(1), xkaapi.WithoutPinning())
+	rt := xkaapi.New(xkaapi.WithWorkers(1))
 	t.Cleanup(func() { rt.Close() })
 	s := New(Config{Runtime: rt})
 	defer s.Close()

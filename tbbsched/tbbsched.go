@@ -128,7 +128,8 @@ type Context struct {
 	queue []*node // locked deque: owner pops the back, thieves the front
 }
 
-// NewScheduler creates a scheduler with n workers (GOMAXPROCS(0) if n <= 0).
+// NewScheduler creates a scheduler with n workers (GOMAXPROCS(0) if n <= 0),
+// each a plain goroutine with no OS-thread lock, as in xkaapi and cilk.
 func NewScheduler(n int) *Scheduler {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -394,8 +395,6 @@ func (c *Context) schedOnce() bool {
 }
 
 func (c *Context) loop() {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	s := c.sched
 	defer s.wg.Done()
 	fails := 0

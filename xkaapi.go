@@ -114,8 +114,8 @@
 // load-aware router: every Submit lands on the least-loaded shard,
 // SubmitAffinity pins related jobs to one shard for cache locality, and an
 // idle shard's workers steal queued root jobs from loaded siblings so no
-// shard backlogs while another sleeps. The submission API is identical —
-// Runtime wraps the Pool interface both shapes satisfy — and ShardStats
+// shard backlogs while another sleeps. The submission API is identical — a
+// Runtime is always a fleet of shards, one by default — and ShardStats
 // exposes the per-shard breakdown:
 //
 //	rt := xkaapi.New(xkaapi.WithShards(4))
@@ -134,10 +134,22 @@
 // scheduler follows the work-first principle, pays for parallelism only when
 // idle cores actually ask for work (steal-request aggregation, adaptive
 // splitting), and keeps task objects on per-worker free lists.
+//
+// # What a worker is on Go
+//
+// The paper's pool is one thread per core. Here a worker is a plain
+// goroutine and the default pool has one per P (GOMAXPROCS), the unit Go
+// schedules onto cores. Workers are not locked to OS threads: Go exposes no
+// core affinity, so the lock would bind a goroutine to a thread the kernel
+// still places freely and charge a futex hand-off to every park, Gosched,
+// wake and GC stop-the-world. Measured on the benchmark of record at P = 2
+// over ten alternating pairs, fib_forkjoin latency_ms_p50 was 23.7 ms with
+// the lock and 19.3 ms without it.
 package xkaapi
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"xkaapi/internal/chaos"
@@ -225,72 +237,44 @@ func CumulWrite(h *Handle) Access { return Access{Handle: h, Mode: core.ModeCumu
 // Option configures New.
 type Option func(*config)
 
-// config is the pool shape New builds: the per-shard scheduler Config plus
-// the fleet knobs.
-type config struct {
-	core      core.Config
-	shards    int
-	shardSize int
-	noSteal   bool
-	health    core.HealthConfig
-}
+// config is the pool New builds: the fleet shape with the per-shard
+// scheduler Config in it. WithWorkers lands in Runtime.Workers as the total
+// worker count; New splits it across the shards.
+type config = core.FleetConfig
 
-// WithWorkers sets the number of scheduling threads; the default is
-// runtime.GOMAXPROCS(0), i.e. one per core. With WithShards(n), the
-// workers are split evenly across the shards (unless WithShardSize pins
-// the per-shard count explicitly).
-func WithWorkers(n int) Option { return func(c *config) { c.core.Workers = n } }
+// WithWorkers sets the number of workers (goroutines; see the package
+// comment); the default is runtime.GOMAXPROCS(0), one per P. With
+// WithShards(s) the workers are spread across the shards, ⌈n/s⌉ each.
+func WithWorkers(n int) Option { return func(c *config) { c.Runtime.Workers = n } }
 
 // WithoutAggregation disables steal-request aggregation (one combiner
 // answering all concurrent thieves); each thief then steals for itself.
-// Provided for the ablation benchmarks.
-func WithoutAggregation() Option { return func(c *config) { c.core.NoAggregation = true } }
-
-// WithoutPinning keeps workers as ordinary goroutines instead of locking
-// each one to an OS thread.
-func WithoutPinning() Option { return func(c *config) { c.core.DisablePinning = true } }
+// It is the paper's §II-C ablation, driven by
+// BenchmarkAblationAggregationOff.
+func WithoutAggregation() Option { return func(c *config) { c.Runtime.NoAggregation = true } }
 
 // WithSeed sets the base seed of the victim-selection RNGs, for reproducible
 // schedules in tests.
-func WithSeed(seed uint64) Option { return func(c *config) { c.core.Seed = seed } }
+func WithSeed(seed uint64) Option { return func(c *config) { c.Runtime.Seed = seed } }
 
 // WithShards splits the pool into n runtime shards behind a load-aware
 // router: each submitted job is placed on the least-loaded shard (or the
 // shard its affinity key pins, see Runtime.SubmitAffinity), and idle
-// shards' workers pull queued roots from loaded siblings. n <= 1 keeps the
-// classic single pool; n = 0 with WithShardSize set derives the shard
-// count from GOMAXPROCS/shardSize.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+// shards' workers pull queued roots from loaded siblings. The default, and
+// any n <= 1, is one shard; a shard needs a worker, so n is clamped to the
+// worker count.
+func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
-// WithShardSize sets the worker count per shard (implying a sharded pool
-// even without WithShards: the shard count then defaults to
-// GOMAXPROCS/size, one shard per core group).
-func WithShardSize(n int) Option { return func(c *config) { c.shardSize = n } }
-
-// WithoutCrossSteal disables cross-shard stealing in a sharded pool,
-// leaving only the router's placement. Provided for ablation and for tests
-// that assert placement alone.
-func WithoutCrossSteal() Option { return func(c *config) { c.noSteal = true } }
-
-// WithShardHealth tunes the sharded pool's health supervisor: checkEvery
-// is its polling cadence, stallAfter how long a shard may sit on a
-// nonempty inbox without advancing its progress epoch before the router
-// diverts around it. A zero keeps that parameter's default (25ms / 400ms);
-// the option is ignored by single-shard runtimes, which have no sibling to
-// divert to. Shorter stallAfter values trade divert latency against false
+// WithShardHealth sets how long a shard may sit on a nonempty inbox without
+// advancing its progress epoch before the router diverts around it; zero
+// keeps the 400ms default. A one-shard runtime has no sibling to divert to
+// and runs no supervisor. Shorter values trade divert latency against false
 // trips on shards that are merely saturated — a tripped shard recovers on
 // its next progress flush, so false trips cost routing quality, not
 // correctness.
-func WithShardHealth(checkEvery, stallAfter time.Duration) Option {
-	return func(c *config) {
-		c.health.CheckEvery = checkEvery
-		c.health.StallAfter = stallAfter
-	}
+func WithShardHealth(stallAfter time.Duration) Option {
+	return func(c *config) { c.Health.StallAfter = stallAfter }
 }
-
-// WithoutShardHealth disables the shard health supervisor entirely: no
-// watcher goroutine, no router diversion. Provided for ablation.
-func WithoutShardHealth() Option { return func(c *config) { c.health.Disable = true } }
 
 // ChaosScenario configures deterministic fault injection: seeded
 // probabilities for task-body panics, adaptive-loop chunk panics, forced
@@ -323,25 +307,18 @@ func ParseChaos(spec string) (*ChaosInjector, error) { return chaos.Parse(spec) 
 // injected panics, stalls, steal misses and delivery delays from it. nil is
 // the default and costs a single nil check per injection site — runtimes
 // built without WithChaos pay nothing.
-func WithChaos(in *ChaosInjector) Option { return func(c *config) { c.core.Chaos = in } }
+func WithChaos(in *ChaosInjector) Option { return func(c *config) { c.Runtime.Chaos = in } }
 
-// Runtime owns a pool of workers, one per core by default — either one
-// scheduler (the default) or, with WithShards, a fleet of scheduler shards
-// behind a load-aware router. It is created idle; Submit injects a root
-// job and returns its handle immediately, Run submits and waits. Any
-// number of goroutines may submit concurrently: all jobs share the one
-// pool. Close drains in-flight jobs and releases the workers. The
-// submission surface is the same either way: Runtime wraps the Pool
-// interface both shapes satisfy.
+// Runtime owns a pool of workers, one per P by default: a fleet of
+// scheduler shards behind a load-aware router — one shard unless WithShards
+// asks for more, and a one-shard fleet pays nothing for the router. It is
+// created idle; Submit injects a root job and returns its handle
+// immediately, Run submits and waits. Any number of goroutines may submit
+// concurrently: all jobs share the one pool. Close drains in-flight jobs
+// and releases the workers.
 type Runtime struct {
-	rt core.Pool
+	rt *core.Fleet
 }
-
-// Pool is the scheduler-side submission interface both a single runtime
-// shard and a sharded fleet satisfy (Submit/SubmitCtx/SubmitAffinity,
-// Wait, Close, Stats, per-shard ShardStats). Runtime wraps a Pool; the
-// type is exported for code that wants to accept either shape directly.
-type Pool = core.Pool
 
 // ShardStats is one shard's monitoring entry: placement and migration
 // counters plus the shard's scheduler Stats. See Runtime.ShardStats.
@@ -368,29 +345,22 @@ type Job = core.Job
 // counts are exact; Cancelled and Panicked are always exact. See Job.Stats.
 type JobStats = core.JobStats
 
-// New creates a runtime with the given options: a single scheduler by
-// default, a sharded fleet behind the load-aware router when WithShards
-// (or WithShardSize) asks for one.
+// New creates a runtime with the given options. The n workers asked for
+// (GOMAXPROCS by default) are spread over s = min(shards, n) shards of ⌈n/s⌉
+// workers each: shards stay equal-sized, so Workers() is never below n and
+// at most s − 1 above it.
 func New(opts ...Option) *Runtime {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shards > 1 || (cfg.shards <= 0 && cfg.shardSize > 0) {
-		fc := core.FleetConfig{
-			Shards:    cfg.shards,
-			ShardSize: cfg.shardSize,
-			NoSteal:   cfg.noSteal,
-			Health:    cfg.health,
-			Runtime:   cfg.core,
-		}
-		if cfg.shards > 1 && cfg.shardSize <= 0 && cfg.core.Workers > 0 {
-			// WithWorkers(n) + WithShards(s): split the n workers evenly.
-			fc.ShardSize = max(1, cfg.core.Workers/cfg.shards)
-		}
-		return &Runtime{rt: core.NewFleet(fc)}
+	n := cfg.Runtime.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	return &Runtime{rt: core.NewRuntime(cfg.core)}
+	cfg.Shards = min(max(cfg.Shards, 1), n)
+	cfg.ShardSize = (n + cfg.Shards - 1) / cfg.Shards
+	return &Runtime{rt: core.NewFleet(cfg)}
 }
 
 // Close drains every in-flight job, then stops and joins the workers.
@@ -402,7 +372,7 @@ func (r *Runtime) Close() { r.rt.Close() }
 // jobs and wrapping the first failure.
 func (r *Runtime) CloseErr() error { return r.rt.CloseErr() }
 
-// Workers returns the number of scheduling threads.
+// Workers returns the number of workers across all shards.
 func (r *Runtime) Workers() int { return r.rt.NumWorkers() }
 
 // Run executes root as an independent root job on the pool and returns once
@@ -433,8 +403,8 @@ func (r *Runtime) SubmitCtx(ctx context.Context, root func(*Proc)) *Job {
 // jobs submitted with the same key are routed to the same shard, so related
 // jobs (one client's requests, one dataset's queries) share that shard's
 // caches. The pin is on placement only — cross-shard stealing still
-// rebalances a backlogged shard unless WithoutCrossSteal. On an unsharded
-// runtime the key is ignored and SubmitAffinity is exactly SubmitCtx.
+// rebalances a backlogged shard. With one shard every key lands on it and
+// SubmitAffinity is exactly SubmitCtx.
 func (r *Runtime) SubmitAffinity(ctx context.Context, key uint64, root func(*Proc)) *Job {
 	return r.rt.SubmitAffinity(ctx, key, root)
 }
@@ -453,20 +423,18 @@ func (r *Runtime) Wait() error { return r.rt.Wait() }
 // Cancelled hold exactly only once the pool is quiescent.
 func (r *Runtime) Stats() Stats { return r.rt.Stats() }
 
-// Shards returns the number of scheduler shards: 1 for the default single
-// pool, the WithShards count for a sharded runtime.
+// Shards returns the number of scheduler shards: 1 by default, the
+// WithShards count (clamped to the worker count) otherwise.
 func (r *Runtime) Shards() int { return r.rt.Shards() }
 
 // ShardStats returns one monitoring entry per shard, in shard order: the
 // shard's queue depths (InboxLen, LiveRoots), its cross-shard migration
-// counters (StolenIn, StolenOut) and its scheduler Stats. On an unsharded
-// runtime it returns a single entry. Note that migrated jobs are counted
-// where they ran, so Spawned == Executed + Cancelled balances fleet-wide
-// (Runtime.Stats), not per shard.
+// counters (StolenIn, StolenOut) and its scheduler Stats. Note that
+// migrated jobs are counted where they ran, so Spawned == Executed +
+// Cancelled balances fleet-wide (Runtime.Stats), not per shard.
 func (r *Runtime) ShardStats() []ShardStats { return r.rt.ShardStats() }
 
-// String describes the pool shape ("xkaapi.Runtime{...}" for a single
-// scheduler or fleet shard, "xkaapi.Fleet{...}" for a sharded runtime).
+// String describes the pool shape: shards, workers, cross-shard stealing.
 func (r *Runtime) String() string { return r.rt.String() }
 
 // ResetStats zeroes the scheduler counters; call it between Runs.

@@ -1,10 +1,16 @@
 package xkaapi_test
 
 import (
+	"context"
+	"runtime"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
 
 	"xkaapi"
+	"xkaapi/cilk"
+	"xkaapi/gomp"
+	"xkaapi/tbbsched"
 )
 
 func newRT(t *testing.T, opts ...xkaapi.Option) *xkaapi.Runtime {
@@ -154,8 +160,8 @@ func TestStatsAndReset(t *testing.T) {
 	}
 }
 
-func TestWithoutAggregationAndPinning(t *testing.T) {
-	rt := newRT(t, xkaapi.WithWorkers(4), xkaapi.WithoutAggregation(), xkaapi.WithoutPinning())
+func TestWithoutAggregation(t *testing.T) {
+	rt := newRT(t, xkaapi.WithWorkers(4), xkaapi.WithoutAggregation())
 	var r int64
 	rt.Run(func(p *xkaapi.Proc) { fib(p, &r, 18) })
 	if r != 2584 {
@@ -171,5 +177,123 @@ func TestNestedRunsSequentially(t *testing.T) {
 	}
 	if total != 5 {
 		t.Fatalf("total=%d want 5", total)
+	}
+}
+
+// TestWorkerSplit: the n workers asked for (GOMAXPROCS for 0) are spread
+// over min(s, n) equal shards, so Workers() is never below n and at most
+// s − 1 above it, and every shape — one shard included — serves all three
+// submit forms and balances its counters.
+func TestWorkerSplit(t *testing.T) {
+	for _, tc := range []struct{ n, s, wantWorkers int }{
+		{1, 4, 1},
+		{2, 2, 2},
+		{7, 2, 8},
+		{8, 4, 8},
+		{0, 2, 0}, // GOMAXPROCS workers: the bounds below decide
+		{3, 0, 3}, // no WithShards: one shard
+	} {
+		opts := []xkaapi.Option{xkaapi.WithWorkers(tc.n)}
+		if tc.s > 0 {
+			opts = append(opts, xkaapi.WithShards(tc.s))
+		}
+		rt := newRT(t, opts...)
+		asked := tc.n
+		if asked == 0 {
+			asked = runtime.GOMAXPROCS(0)
+		}
+		wantShards := min(max(tc.s, 1), asked)
+		if got := rt.Shards(); got != wantShards {
+			t.Errorf("n=%d s=%d: Shards() = %d, want %d", tc.n, tc.s, got, wantShards)
+		}
+		if got := len(rt.ShardStats()); got != wantShards {
+			t.Errorf("n=%d s=%d: len(ShardStats()) = %d, want %d", tc.n, tc.s, got, wantShards)
+		}
+		if got := rt.Workers(); got < asked || got >= asked+wantShards || (tc.wantWorkers > 0 && got != tc.wantWorkers) {
+			t.Errorf("n=%d s=%d: Workers() = %d, want %d (at least %d, fewer than %d)",
+				tc.n, tc.s, got, tc.wantWorkers, asked, asked+wantShards)
+		}
+		var ran atomic.Int64
+		body := func(p *xkaapi.Proc) {
+			p.Spawn(func(*xkaapi.Proc) { ran.Add(1) })
+		}
+		rt.Submit(body)
+		rt.SubmitCtx(context.Background(), body)
+		for key := uint64(0); key < 3; key++ {
+			rt.SubmitAffinity(context.Background(), key, body)
+		}
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("n=%d s=%d: Wait: %v", tc.n, tc.s, err)
+		}
+		if ran.Load() != 5 {
+			t.Errorf("n=%d s=%d: %d of 5 jobs ran their child", tc.n, tc.s, ran.Load())
+		}
+		if st := rt.Stats(); st.Spawned != 10 || st.Spawned != st.Executed+st.Cancelled {
+			t.Errorf("n=%d s=%d: spawned=%d executed=%d cancelled=%d, want 10 = executed + cancelled",
+				tc.n, tc.s, st.Spawned, st.Executed, st.Cancelled)
+		}
+	}
+}
+
+// TestWorkersHoldNoThreads: a worker is a goroutine, not an OS thread, in
+// all four schedulers — 64 live pools of 4 workers that have each run a
+// fork-join job may not have made the process create threads for them
+// (with every worker locked to an OS thread the same loop creates over 100).
+func TestWorkersHoldNoThreads(t *testing.T) {
+	const pools, workers, maxNewThreads = 64, 4, 32
+	for _, tc := range []struct {
+		name string
+		open func() (run func(), close func())
+	}{
+		{"xkaapi", func() (func(), func()) {
+			rt := xkaapi.New(xkaapi.WithWorkers(workers))
+			return func() {
+				rt.Run(func(p *xkaapi.Proc) {
+					for i := 0; i < 2*workers; i++ {
+						p.Spawn(func(*xkaapi.Proc) {})
+					}
+				})
+			}, rt.Close
+		}},
+		{"cilk", func() (func(), func()) {
+			pool := cilk.NewPool(workers)
+			return func() {
+				pool.Run(func(w *cilk.Worker) {
+					for i := 0; i < 2*workers; i++ {
+						w.Spawn(func(*cilk.Worker) {})
+					}
+					w.Sync()
+				})
+			}, pool.Close
+		}},
+		{"tbbsched", func() (func(), func()) {
+			s := tbbsched.NewScheduler(workers)
+			return func() {
+				s.Run(func(c *tbbsched.Context) {
+					for i := 0; i < 2*workers; i++ {
+						c.Spawn(tbbsched.FuncTask(func(*tbbsched.Context) {}))
+					}
+					c.Wait()
+				})
+			}, s.Close
+		}},
+		{"gomp", func() (func(), func()) {
+			tm := gomp.NewTeam(workers)
+			return func() { tm.Parallel(func(*gomp.TC) {}) }, tm.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			threads := pprof.Lookup("threadcreate")
+			before := threads.Count()
+			for i := 0; i < pools; i++ {
+				run, closePool := tc.open()
+				defer closePool()
+				run()
+			}
+			if grew := threads.Count() - before; grew >= maxNewThreads {
+				t.Fatalf("%d live pools of %d workers made the process create %d threads, want < %d",
+					pools, workers, grew, maxNewThreads)
+			}
+		})
 	}
 }
