@@ -11,12 +11,28 @@ test:
 # the shared failure state machine (internal/jobfail), the scheduler core,
 # the fault-injection harness (internal/chaos), the parallel algorithms
 # that hammer it, the HTTP front-end, the public facade, and every paradigm
-# layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark).
+# layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark),
+# and the figure table that drives every paradigm at once (internal/figs).
 # -short keeps the stress tests at their trimmed sizes.
-RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark
+RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs
 .PHONY: race
 race:
 	$(GO) test -race -short $(RACE_PKGS)
+
+# race-stress is the race tier's un-shortened runs. The context-propagation
+# stress drives the one shared failure machine from every direction at once
+# (sibling panics, deadlines, external Cancels, healthy jobs). The fleet
+# tier races router placement, cross-shard stealing under imbalance and the
+# fleet-wide drain/submit-storm critical section. The chaos tier replays
+# seeded fault injection: the paradigm sweep over a chaotic pool, the wedged
+# shard, brownout and panic retries; its seeds are fixed, so a failure
+# replays deterministically.
+.PHONY: race-stress
+race-stress:
+	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
+	$(GO) test -race -run 'TestFleet' -count=2 ./internal/core
+	$(GO) test -race -count=1 ./internal/chaos
+	$(GO) test -race -count=1 -run 'TestChaos|TestWedged|TestBrownout|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
 
 .PHONY: vet
 vet:
@@ -55,10 +71,11 @@ fmt-check:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# check is the local CI entry point: static gates, tier-1, the race tier,
+# check is the local CI entry point: static gates, tier-1, the race tiers,
 # the benchmark module's self-test and the serve/load integration pipeline.
+# ci.sh runs the same targets in the same order.
 .PHONY: check
-check: fmt-check vet lint build test race bench-gate bench-selftest integration
+check: fmt-check vet lint build test race race-stress bench-gate bench-selftest integration
 
 # The packages of the micro-benchmark trajectory: the scheduler's per-task
 # costs and the tile kernels' per-call costs.

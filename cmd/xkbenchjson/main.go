@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -121,6 +122,10 @@ func main() {
 // parseBenchLine parses one `go test -bench` result line, e.g.
 //
 //	BenchmarkSpawnExecute-8   1000000   152.3 ns/op   24 B/op   1 allocs/op
+//
+// A line no benchmark prints is rejected, since it feeds the allocation
+// gate: fewer than one iteration, an ns/op that is negative, NaN or
+// infinite, or a negative B/op or allocs/op.
 func parseBenchLine(line string) (BenchResult, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
@@ -128,7 +133,7 @@ func parseBenchLine(line string) (BenchResult, bool) {
 	}
 	iters, err1 := strconv.ParseInt(f[1], 10, 64)
 	ns, err2 := strconv.ParseFloat(f[2], 64)
-	if err1 != nil || err2 != nil {
+	if err1 != nil || err2 != nil || iters < 1 || !(ns >= 0) || math.IsInf(ns, 1) {
 		return BenchResult{}, false
 	}
 	r := BenchResult{Name: f[0], Iterations: iters, NsPerOp: ns}
@@ -143,6 +148,9 @@ func parseBenchLine(line string) (BenchResult, bool) {
 		case "allocs/op":
 			r.AllocsPerOp = v
 		}
+	}
+	if r.BytesPerOp < 0 || r.AllocsPerOp < 0 {
+		return BenchResult{}, false
 	}
 	return r, true
 }

@@ -63,6 +63,10 @@ func (b *kaapiBackend) Factor(m *skyline.Matrix) error {
 
 func (b *kaapiBackend) Close() { b.rt.Close() }
 
+// Runtime returns the backend's pool, whose Stats show what the adaptive
+// loops did (Splits: how often a thief split one).
+func (b *kaapiBackend) Runtime() *xkaapi.Runtime { return b.rt }
+
 // gompBackend drives the loops through OpenMP-style worksharing and the
 // factorization through the taskwait-synchronized OpenMP port.
 type gompBackend struct {

@@ -249,8 +249,8 @@ func WithWorkers(n int) Option { return func(c *config) { c.Runtime.Workers = n 
 
 // WithoutAggregation disables steal-request aggregation (one combiner
 // answering all concurrent thieves); each thief then steals for itself.
-// It is the paper's §II-C ablation, driven by
-// BenchmarkAblationAggregationOff.
+// It is the paper's §II-C ablation: the ablations row of the figure table
+// in internal/figs (`xkfig ablations`).
 func WithoutAggregation() Option { return func(c *config) { c.Runtime.NoAggregation = true } }
 
 // WithSeed sets the base seed of the victim-selection RNGs, for reproducible
