@@ -38,6 +38,14 @@ race-stress:
 vet:
 	$(GO) vet ./...
 
+# cross vets the module for arm64. On amd64 the blas micro-kernel is
+# assembly (internal/blas/kernel_amd64.s), so only a non-amd64 build
+# compiles the portable Go kernel that every other GOARCH runs; vet
+# type-checks it (and every test) without a cross toolchain or a network.
+.PHONY: cross
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+
 # lint runs the module's own static analyzers (internal/analysis) through
 # the cmd/xkvet multichecker: jobfailsingleton, taskctx, hotpath and
 # atomicpad — the concurrency invariants stock vet cannot see. The binary
@@ -71,11 +79,12 @@ fmt-check:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# check is the local CI entry point: static gates, tier-1, the race tiers,
-# the benchmark module's self-test and the serve/load integration pipeline.
+# check is the local CI entry point: static gates (cross among them),
+# tier-1, the race tiers, the benchmark module's self-test and the
+# serve/load integration pipeline.
 # ci.sh runs the same targets in the same order.
 .PHONY: check
-check: fmt-check vet lint build test race race-stress bench-gate bench-selftest integration
+check: fmt-check vet cross lint build test race race-stress bench-gate bench-selftest integration
 
 # The packages of the micro-benchmark trajectory: the scheduler's per-task
 # costs and the tile kernels' per-call costs.

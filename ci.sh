@@ -3,10 +3,10 @@
 # GitHub workflow in .github/workflows/ci.yml just invokes this script).
 #
 # Every gate is a Makefile target, run in the order `make check` runs them:
-# static gates (gofmt, vet, the xkvet analyzer suite), tier-1 verify (build
-# + full test suite), the race tiers (`race` over the concurrency-critical
-# packages, `race-stress` for the un-shortened stress, fleet and seeded
-# chaos runs), the gating benchmark allocation budgets (bench_gates.json),
+# static gates (gofmt, vet, vet for arm64, the xkvet analyzer suite), tier-1
+# verify (build + full test suite), the race tiers (`race` over the
+# concurrency-critical packages, `race-stress` for the un-shortened stress,
+# fleet and seeded chaos runs), the gating benchmark allocation budgets (bench_gates.json),
 # the benchmark module's own vet + tests, and the serve/load integration
 # pipeline. What this script adds is output capture for the workflow and a
 # non-gating benchmark tier that records the perf trajectory as a
@@ -15,6 +15,11 @@ set -eu
 
 echo "== gate: gofmt -l, go vet ./... (make fmt-check vet)"
 make fmt-check vet
+
+# On amd64 the blas micro-kernel is assembly: only a non-amd64 build
+# compiles the portable Go kernel.
+echo "== gate: GOARCH=arm64 go vet ./... (make cross)"
+make cross
 
 # xkvet output also lands in a file so the GitHub workflow can lift the
 # diagnostics into the job summary on failure.

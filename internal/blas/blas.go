@@ -6,7 +6,7 @@
 //
 // # The micro-kernel
 //
-// All four level-3 kernels are built on one micro-kernel (kernel.go): a 2×4
+// All four level-3 kernels are built on one micro-kernel, kern: a 2×4
 // block of C minus the dot products of two rows of A with four rows of B,
 // its eight sums held in registers. The NT layout makes both operands
 // k-contiguous, so the block runs along k over plain slices and nothing is
@@ -18,11 +18,19 @@
 // PotrfLower is left-looking over 16-column blocks, which puts nearly all
 // of its flops into the other three.
 //
-// The micro-kernel is portable Go and the only version: there is no
-// option, flag, build tag or environment variable, so every caller of a
-// kernel gets bitwise-identical results for identical inputs, whichever
-// scheduler made the call. Its signature (two rows of A, four of B, a
-// leading dimension each) is the one a vector version would have.
+// The micro-kernel exists twice, with identical bits: in portable Go
+// (kernGo, kernel.go), which is kern on every GOARCH but amd64
+// (kernel_generic.go), and in SSE2 assembly (kernel_amd64.s), which is kern
+// on amd64. SSE2 is the amd64 baseline, so there is no CPU detection. The
+// assembly holds two of the eight sums in each register and does, lane by
+// lane, the multiplies, adds and final subtractions of the Go code in the
+// same order, so on amd64 the two agree bit for bit (TestKernBitwise
+// checks it, NaN, ±Inf, ±0 and subnormals included). Across GOARCHes no
+// bits are promised: on arm64, ppc64 and s390x the Go compiler may fuse a
+// multiply and an add into one FMA. The GOARCH is the only selection —
+// there is no option, flag, build tag or environment variable — so every
+// caller of a kernel gets bitwise-identical results for identical inputs,
+// whichever scheduler made the call.
 //
 // What a micro-block does not cover takes a scalar dot-product path: the
 // m%2 last row and n%4 last columns of GemmNT, the rows and columns of

@@ -9,7 +9,8 @@ const (
 	nr = 4
 )
 
-// kern is the micro-kernel all four level-3 kernels are built on:
+// kernGo is the micro-kernel all four level-3 kernels are built on, in
+// portable Go:
 //
 //	C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
 //
@@ -17,7 +18,12 @@ const (
 // live in registers and each loaded element of A feeds nr products, each of
 // B mr, so a multiply-add costs 0.75 loads where a row-by-row dot product
 // pays 2.
-func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+//
+// kern is this function on every GOARCH but amd64 (kernel_generic.go). On
+// amd64 kern is the SSE2 version in kernel_amd64.s, which performs the same
+// operations in the same order and so produces the same bits; kernGo is then
+// its oracle in the tests.
+func kernGo(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	a0, a1 := a[:k], a[lda:lda+k]
 	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
 	var s00, s01, s02, s03, s10, s11, s12, s13 float64

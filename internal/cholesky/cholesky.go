@@ -16,12 +16,14 @@
 // # Kernels
 //
 // All four run the same four blas kernels on the same tiles, so measured
-// differences are scheduling, exactly as in the paper: internal/blas has one
-// micro-kernel and no way to select another, and every scheduler's factor is
-// bitwise the sequential one. What a faster micro-kernel changes is the
-// grain the schedulers are compared at: a 128×128 gemm task takes about
-// half of what it took as row-by-row dot products, so a scheduler's
-// per-task cost is twice the share of the solve.
+// differences are scheduling, exactly as in the paper: internal/blas has
+// one micro-kernel per GOARCH — on amd64 SSE2 assembly with the bits of
+// the portable Go kernel, elsewhere that Go kernel — and no way to select
+// another, so every scheduler's factor is bitwise the sequential one. What a faster
+// micro-kernel changes is the grain the schedulers are compared at: a
+// 128×128 gemm task takes well under half of what it took as row-by-row
+// dot products, so a scheduler's per-task cost is that much more of the
+// solve.
 package cholesky
 
 import (

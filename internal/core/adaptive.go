@@ -28,6 +28,20 @@ type Adaptive struct {
 	// not the victim — fails this job, and tasks produced by Split inherit
 	// it as their cancel scope.
 	job *Job
+
+	// loop is set on the splitter a parallel loop installs (loop.go), which
+	// can tell when it has nothing left to give; see splittable.
+	loop *loopAdaptive
+}
+
+// splittable reports whether a thief asking ad now could be given work. A
+// loop's splitter answers from its intervals; one built by a user is
+// always worth asking. Thieves probe with it before posting a request, and
+// park's final scan asks it too, so an idle worker neither spins on nor
+// stays awake for a splitter that cannot split. The answer is a snapshot:
+// the victim may claim the work first.
+func (ad *Adaptive) splittable() bool {
+	return ad.loop == nil || ad.loop.canSplit()
 }
 
 // split invokes ad.Split on thief w with a panic barrier: a panicking

@@ -169,6 +169,20 @@ func (la *loopAdaptive) split(thief *Worker, n int) []*Task {
 	return out
 }
 
+// canSplit reports whether split would give one thief a task now: a
+// reserved slice nobody has claimed, or a live interval whose back half is
+// at least parGrain wide (split's share for k = 1). Both only shrink while
+// the owner iterates, so a thief told no need not ask again until a new
+// adaptive section wakes it.
+func (la *loopAdaptive) canSplit() bool {
+	lc := la.lc
+	if int(lc.nextSlice.Load()) < len(lc.slices) {
+		return true
+	}
+	iv := la.iv.Load()
+	return iv != nil && iv.Remaining()/2 >= lc.parGrain
+}
+
 // newLoopTask wraps an interval into a free-standing adaptive task. Loop
 // tasks have no parent frame: completion of the loop is tracked by the
 // pending counter of the loop context instead.
@@ -211,8 +225,11 @@ func (w *Worker) loopRun(lc *loopCtx, iv *Interval) {
 			return
 		}
 	}
+	// The interval goes in before the splitter is installed: the thieves
+	// SetAdaptive wakes must find something to split.
 	la := &loopAdaptive{lc: lc}
-	ad := &Adaptive{Split: la.split, job: lc.job}
+	la.iv.Store(iv)
+	ad := &Adaptive{Split: la.split, job: lc.job, loop: la}
 	prev := w.SetAdaptive(ad)
 	for iv != nil {
 		la.iv.Store(iv)

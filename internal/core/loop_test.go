@@ -203,12 +203,15 @@ func TestForEachQuickExactlyOnce(t *testing.T) {
 
 func TestForEachSplitStats(t *testing.T) {
 	// With several workers and a long loop, stealing must actually happen
-	// through the splitter (reserved slices count as split tasks).
+	// through the splitter (reserved slices count as split tasks). The loop
+	// runs for milliseconds, not a fraction of one, so that thieves woken
+	// when it opens get a CPU before it ends even while other test
+	// processes load the machine.
 	withRuntime(t, Config{Workers: 4}, func(rt *Runtime) {
 		rt.ResetStats()
 		var spin atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, 1<<16, LoopOpts{SeqGrain: 64}, func(_ *Worker, lo, hi int64) {
+			w.ForEach(0, 1<<20, LoopOpts{SeqGrain: 64}, func(_ *Worker, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					spin.Add(1)
 				}
@@ -217,6 +220,38 @@ func TestForEachSplitStats(t *testing.T) {
 		s := rt.Stats()
 		if s.SplitTasks == 0 {
 			t.Skipf("no splits observed (machine too fast/small); stats: %+v", s)
+		}
+	})
+}
+
+// A thief must not post steal requests to a loop whose splitter has nothing
+// left to give: a live interval under 2·ParGrain, or an owner on its last
+// chunk. Before the splitter could say so, idle workers spun on such loops
+// — on this shape about 200 000 splitter calls for 300 tasks, and tens of
+// thousands of parks aborted. The count needs no clock: at least one
+// splitter call in four must yield a task.
+func TestForEachSplitsYield(t *testing.T) {
+	withRuntime(t, Config{Workers: 2}, func(rt *Runtime) {
+		rt.ResetStats()
+		var total atomic.Int64
+		rt.RunRoot(func(w *Worker) {
+			for range 200 {
+				w.ForEach(0, 2_000_000, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+					var s int64
+					for i := lo; i < hi; i++ {
+						s += i
+					}
+					total.Add(s)
+				})
+			}
+		})
+		if want := int64(200) * (2_000_000 * 1_999_999 / 2); total.Load() != want {
+			t.Fatalf("sum %d, want %d", total.Load(), want)
+		}
+		s := rt.Stats()
+		t.Logf("splits %d, split tasks %d, parks %d", s.Splits, s.SplitTasks, s.Parks)
+		if s.Splits > 4*s.SplitTasks {
+			t.Errorf("%d splitter calls yielded %d tasks: fewer than one in four", s.Splits, s.SplitTasks)
 		}
 	})
 }

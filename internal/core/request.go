@@ -109,7 +109,7 @@ func (w *Worker) combineServe(v *Worker) {
 	// Second source: the victim's active adaptive task, split k+1 ways for
 	// the k remaining requests (one part stays with the victim, §II-E).
 	if rest := ids[served:]; len(rest) > 0 {
-		if ad := v.adaptive.Load(); ad != nil {
+		if ad := v.adaptive.Load(); ad != nil && ad.splittable() {
 			w.stats.splits.Add(1)
 			tasks := ad.split(w, len(rest))
 			w.stats.splitTasks.Add(int64(len(tasks)))
@@ -143,7 +143,7 @@ func (w *Worker) stealDirect(v *Worker) *Task {
 	w.stats.stealRequests.Add(1)
 	t := v.deque.steal()
 	if t == nil {
-		if ad := v.adaptive.Load(); ad != nil {
+		if ad := v.adaptive.Load(); ad != nil && ad.splittable() {
 			v.comb.Lock() // still required: one splitter at a time
 			w.stats.splits.Add(1)
 			tasks := ad.split(w, 1)

@@ -341,14 +341,14 @@ func (rt *Runtime) wakeAll() {
 	rt.parkMu.Unlock()
 }
 
-// anyWork reports whether any worker has queued tasks, an open adaptive
-// section, or a submitted root is waiting in the inbox.
+// anyWork reports whether any worker has queued tasks or an adaptive
+// section a thief could split, or a submitted root is waiting in the inbox.
 func (rt *Runtime) anyWork() bool {
 	if rt.inbox.size() > 0 {
 		return true
 	}
 	for _, v := range rt.workers {
-		if v.deque.size() > 0 || v.adaptive.Load() != nil {
+		if v.stealable() {
 			return true
 		}
 	}

@@ -487,11 +487,11 @@ func (w *Worker) schedOnce() bool {
 // trySteal performs one round of steal attempts on randomly selected
 // victims and returns a stolen task, or nil if the round failed. sawWork
 // reports whether any probed victim even looked like it had work (non-empty
-// deque or an open adaptive section): a round that swept every victim empty
-// is the signal the backoff in run uses to park sooner instead of burning
-// further probe sweeps on a mostly-idle pool. Every victim inspection is
-// counted in StealProbes (one batched add per round), which is what makes
-// the wasted-probe rate observable in /stats next to Parks.
+// deque or a splitter with something to split): a round that swept every
+// victim empty is the signal the backoff in run uses to park sooner instead
+// of burning further probe sweeps on a mostly-idle pool. Every victim
+// inspection is counted in StealProbes (one batched add per round), which
+// is what makes the wasted-probe rate observable in /stats next to Parks.
 func (w *Worker) trySteal() (t *Task, sawWork bool) {
 	rt := w.rt
 	n := len(rt.workers)
@@ -514,7 +514,7 @@ func (w *Worker) trySteal() (t *Task, sawWork bool) {
 			continue
 		}
 		// Cheap probe before posting a request.
-		if v.deque.size() == 0 && v.adaptive.Load() == nil {
+		if !v.stealable() {
 			continue
 		}
 		sawWork = true
@@ -529,6 +529,16 @@ func (w *Worker) trySteal() (t *Task, sawWork bool) {
 		}
 	}
 	return nil, sawWork
+}
+
+// stealable reports whether a thief could take work from w now: a queued
+// task, or an installed splitter with something to split.
+func (w *Worker) stealable() bool {
+	if w.deque.size() > 0 {
+		return true
+	}
+	ad := w.adaptive.Load()
+	return ad != nil && ad.splittable()
 }
 
 // SetAdaptive installs ad as the splitter target for the task currently
