@@ -22,17 +22,17 @@ race:
 # race-stress is the race tier's un-shortened runs. The context-propagation
 # stress drives the one shared failure machine from every direction at once
 # (sibling panics, deadlines, external Cancels, healthy jobs). The fleet
-# tier races router placement, cross-shard stealing under imbalance and the
-# fleet-wide drain/submit-storm critical section. The chaos tier replays
-# seeded fault injection: the paradigm sweep over a chaotic pool, the wedged
-# shard, brownout and panic retries; its seeds are fixed, so a failure
-# replays deterministically.
+# tier races router placement, cross-shard stealing under imbalance and
+# behind a frozen shard, and the fleet-wide drain/submit-storm critical
+# section. The chaos tier replays seeded fault injection: the paradigm
+# sweep over a chaotic pool, brownout and panic retries; its seeds are
+# fixed, so a failure replays deterministically.
 .PHONY: race-stress
 race-stress:
 	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
 	$(GO) test -race -run 'TestFleet' -count=2 ./internal/core
 	$(GO) test -race -count=1 ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestChaos|TestWedged|TestBrownout|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
+	$(GO) test -race -count=1 -run 'TestChaos|TestBrownout|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
 
 .PHONY: vet
 vet:

@@ -85,9 +85,9 @@ func runLoad(args []string) int {
 	fibBurst := fs.Int("fib-burst", 0, "fire N simultaneous /fib requests with no retry (queued-admission SLO probe)")
 	burstSLO := fs.Duration("burst-slo", 5*time.Second, "per-request completion SLO for -fib-burst")
 	burstMinOK := fs.Float64("burst-min-ok", 0.9, "minimum fraction of -fib-burst requests that must answer 200 within the SLO")
-	hotAffinity := fs.Int("hot-affinity", 0, "fire N simultaneous /loop requests all pinned to one shard (affinity=1), to drive cross-shard stealing on a sharded server")
-	hotLoop := fs.Int("hot-loop", 1_000_000, "loop iteration count of each -hot-affinity request")
-	expectShards := fs.Int("expect-shards", 0, "fail unless /stats reports exactly N shards, every shard executed tasks, and (with -hot-affinity) work migrated between shards")
+	hotWave := fs.Int("hot-wave", 0, "fire N simultaneous /loop requests in one wave, to drive cross-shard stealing on a sharded server")
+	hotLoop := fs.Int("hot-loop", 1_000_000, "loop iteration count of each -hot-wave request")
+	expectShards := fs.Int("expect-shards", 0, "fail unless /stats reports exactly N shards, every shard executed tasks, and (with -hot-wave) work migrated between shards")
 	retries := fs.Int("retries", 0, "max retries of a 429, honoring the server's full Retry-After with jitter (0 = the legacy fast poll: unbounded retries at Retry-After/20)")
 	wait := fs.Duration("wait", 10*time.Second, "how long to wait for the server to become healthy")
 	fs.Parse(args)
@@ -115,8 +115,8 @@ func runLoad(args []string) int {
 		}
 	}
 
-	if *hotAffinity > 0 {
-		runHotAffinity(*addr, *hotAffinity, *hotLoop, *retries, &lt)
+	if *hotWave > 0 {
+		runHotWave(*addr, *hotWave, *hotLoop, *retries, &lt)
 	}
 
 	urls := [loadNumKinds]string{
@@ -173,7 +173,7 @@ func runLoad(args []string) int {
 		return 1
 	}
 	if *expectShards > 0 {
-		if !checkShards(*addr, *expectShards, *hotAffinity > 0) {
+		if !checkShards(*addr, *expectShards, *hotWave > 0) {
 			return 1
 		}
 	}
@@ -181,15 +181,14 @@ func runLoad(args []string) int {
 	return 0
 }
 
-// runHotAffinity deliberately overloads one shard: n simultaneous /loop
-// requests, every one pinned to the same shard with affinity=1. On a
-// sharded server the pinned shard's inbox backlogs while its siblings
-// idle, so the cross-shard steal path must migrate the queued roots over —
-// visible afterwards as stolen_in/stolen_out in /stats. Responses are
-// verified like any other /loop request (migration must not change
-// results).
-func runHotAffinity(addr string, n, loopN, retries int, lt *loadTally) {
-	url := fmt.Sprintf("%s/loop?n=%d&affinity=1", addr, loopN)
+// runHotWave fires n simultaneous /loop requests in one wave. On a sharded
+// server the router spreads them by load, the shards' inboxes backlog
+// unevenly as their loops finish at different times, and the cross-shard
+// steal path migrates queued roots from the slower shards — visible
+// afterwards as stolen_in/stolen_out in /stats. Responses are verified
+// like any other /loop request (migration must not change results).
+func runHotWave(addr string, n, loopN, retries int, lt *loadTally) {
+	url := fmt.Sprintf("%s/loop?n=%d", addr, loopN)
 	want := int64(loopN) * int64(loopN-1) / 2
 	var wg sync.WaitGroup
 	var release sync.WaitGroup
@@ -198,13 +197,13 @@ func runHotAffinity(addr string, n, loopN, retries int, lt *loadTally) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			release.Wait() // one simultaneous wave onto one shard
+			release.Wait() // one simultaneous wave
 			doRequest(url, loadKindLoop, 0, want, false, retries, lt)
 		}()
 	}
 	release.Done()
 	wg.Wait()
-	fmt.Printf("xkserve load: hot-affinity wave: %d simultaneous /loop?n=%d requests pinned to one shard\n", n, loopN)
+	fmt.Printf("xkserve load: hot wave: %d simultaneous /loop?n=%d requests\n", n, loopN)
 }
 
 // shardStatsReply mirrors the per-shard entries of the server's /stats.
@@ -217,8 +216,8 @@ type shardStatsReply struct {
 
 // checkShards fetches /stats and verifies the sharding actually engaged:
 // the server reports exactly want shards, every shard executed tasks (the
-// router spread the load), and — when a hot-affinity wave overloaded one
-// shard — at least one root migrated between shards.
+// router spread the load), and — after a hot wave — at least one root
+// migrated between shards.
 func checkShards(addr string, want int, wantSteals bool) bool {
 	resp, err := http.Get(addr + "/stats")
 	if err != nil {
@@ -250,7 +249,7 @@ func checkShards(addr string, want int, wantSteals bool) bool {
 			ss.Shard, ss.Executed, ss.StolenIn, ss.StolenOut)
 	}
 	if wantSteals && stolen == 0 {
-		fmt.Fprintln(os.Stderr, "xkserve load: FAILED: hot-affinity wave ran but no cross-shard steal was recorded")
+		fmt.Fprintln(os.Stderr, "xkserve load: FAILED: hot wave ran but no cross-shard steal was recorded")
 		return false
 	}
 	fmt.Printf("xkserve load: sharding verified: %d shards all executing, %d cross-shard steals\n", want, stolen)

@@ -16,22 +16,23 @@
 //
 // With -shards N the serve pool is split into N scheduler shards behind
 // the runtime's load-aware router (xkaapi.WithShards): requests spread to
-// the least-loaded shard, an affinity=K query parameter pins a request's
-// job to one shard, and idle shards steal queued roots from loaded
+// the least-loaded shard, and idle shards steal queued roots from loaded
 // siblings. /stats then carries a per-shard breakdown (shard_stats), and
-// the load generator can drive and verify it: -hot-affinity overloads one
-// shard on purpose, -expect-shards asserts every shard executed work and
-// the overload migrated.
+// the load generator can drive and verify it: -hot-wave fires one burst of
+// simultaneous large /loop requests, -expect-shards asserts every shard
+// executed work and (after a wave) that roots migrated between shards.
 //
 // Usage:
 //
 //	xkserve serve [-addr :8080] [-workers N] [-shards S] [-budget B]
 //	              [-timeout 30s] [-drain-timeout 30s] [-max-fib 40]
-//	              [-max-loop 50000000] [-max-chol 2048]
+//	              [-max-loop 50000000] [-max-chol 2048] [-queue 0]
+//	              [-batch-window 0] [-chaos spec] [-slo 0]
+//	              [-panic-retries 0]
 //	xkserve load  [-addr http://127.0.0.1:8080] [-clients 8] [-jobs 60]
 //	              [-fib 22] [-loop 200000] [-chol 192] [-nb 64]
 //	              [-timeout 0] [-burst 0] [-expect-429] [-expect-drain]
-//	              [-hot-affinity 0] [-hot-loop 1000000] [-expect-shards 0]
+//	              [-hot-wave 0] [-hot-loop 1000000] [-expect-shards 0]
 package main
 
 import (

@@ -32,8 +32,7 @@ func runServe(args []string) int {
 	maxFib := fs.Int("max-fib", 0, "cap on fib request size (0 = default)")
 	maxLoop := fs.Int("max-loop", 0, "cap on loop request size (0 = default)")
 	maxChol := fs.Int("max-chol", 0, "cap on cholesky request order (0 = default)")
-	chaosSpec := fs.String("chaos", "", "fault-injection scenario: named fragments joined with '+', optional ':<seed>' (panic, steal, stall, inbox, latency, wedge, all; e.g. stall+panic:7); empty = disabled")
-	healthStall := fs.Duration("health-stall", 0, "how long a shard may sit on a nonempty inbox without progress before the router diverts around it (0 = 400ms default; needs -shards > 1)")
+	chaosSpec := fs.String("chaos", "", "fault-injection scenario: named fragments joined with '+', optional ':<seed>' (panic, steal, stall, inbox, latency, all; e.g. stall+panic:7); empty = disabled")
 	sloP99 := fs.Duration("slo", 0, "p99 latency SLO, applied to every endpoint: past it the brownout controller degrades gracefully (sheds oversized requests, widens batch windows, /healthz reports degraded); 0 = disabled")
 	panicRetries := fs.Int("panic-retries", 0, "times a request's job is resubmitted after failing with a task panic (0 = a panic is a 500)")
 	fs.Parse(args)
@@ -46,9 +45,6 @@ func runServe(args []string) int {
 	rtOpts := []xkaapi.Option{xkaapi.WithWorkers(*workers)}
 	if *shards > 1 {
 		rtOpts = append(rtOpts, xkaapi.WithShards(*shards))
-	}
-	if *healthStall > 0 {
-		rtOpts = append(rtOpts, xkaapi.WithShardHealth(*healthStall))
 	}
 	if inj != nil {
 		// One injector drives the whole stack: the scheduler sites through

@@ -18,12 +18,11 @@
 // deadline or disconnect, in every paradigm layer of this module — and
 // (8) scaling out with shards: a pool is always a fleet of scheduler shards
 // (one by default; a worker is a goroutine per P, not a locked OS thread)
-// and WithShards puts several behind the load-aware router, SubmitAffinity pins related jobs to
-// one shard, idle shards steal queued roots from loaded siblings, and
-// ShardStats shows placement and migration per shard, and
+// and WithShards puts several behind the load-aware router, idle shards
+// steal queued roots from loaded siblings, and ShardStats shows placement
+// and migration per shard, and
 // (9) fault injection: WithChaos arms a deterministic, seeded chaos
-// harness in the scheduler itself, so panics, stalls and wedged shards
-// are reproducible test inputs instead of production surprises.
+// harness in the scheduler itself, so panics and stalls are reproducible test inputs instead of production surprises.
 //
 // The context rules shown here are machine-checked: `make lint` runs the
 // module's own analyzers (internal/analysis, via cmd/xkvet), which reject
@@ -238,10 +237,9 @@ func main() {
 	// shards; the default is one, and one shard is one contention domain:
 	// every submit crosses one inbox. WithShards(4) builds four shards
 	// behind the load-aware router — same Submit/Run/Wait API, same type,
-	// but each job lands on the least-loaded shard, SubmitAffinity
-	// pins jobs sharing a key to one shard (cache locality for related
-	// work), and a shard that backlogs sheds queued root jobs to idle
-	// siblings through cross-shard stealing. ShardStats breaks the
+	// but each job lands on the least-loaded shard, and a shard that
+	// backlogs sheds queued root jobs to idle siblings through
+	// cross-shard stealing. ShardStats breaks the
 	// counters down per shard; note that migrated jobs are counted where
 	// they ran, so spawned == executed + cancelled balances on the
 	// fleet-wide Stats, not per shard.
@@ -249,10 +247,8 @@ func main() {
 	defer fleet.Close()
 	var jobs []*xkaapi.Job
 	for client := 0; client < 8; client++ {
-		key := uint64(client % 4) // one shard per "client"
 		var r int64
-		jobs = append(jobs, fleet.SubmitAffinity(context.Background(), key,
-			func(p *xkaapi.Proc) { fib(p, &r, 18) }))
+		jobs = append(jobs, fleet.Submit(func(p *xkaapi.Proc) { fib(p, &r, 18) }))
 	}
 	for _, j := range jobs {
 		j.Wait()
@@ -265,7 +261,7 @@ func main() {
 
 	// 9. Fault injection (chaos). NewChaosInjector arms seeded injection
 	// sites inside the scheduler — task panics, steal misses, worker
-	// stalls, whole-shard wedges — behind a nil-check fast path: a runtime
+	// stalls, delayed deliveries — behind a nil-check fast path: a runtime
 	// built without an injector pays one predictable branch per site. The
 	// set of injected faults is a pure function of (scenario, seed), so a
 	// failing run replays from its seed. A job hit by an injected panic

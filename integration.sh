@@ -19,19 +19,16 @@
 # counters (spawned == executed + cancelled), while the load generator
 # tolerates the drain. Phase 5 runs a second, sharded server (-shards 4):
 # the mixed workload must spread over every shard (non-zero executed per
-# shard in /stats), a hot-affinity wave pinning simultaneous /loop jobs to
-# one shard must migrate via cross-shard stealing (stolen_in > 0), and the
-# fleet must drain cleanly on SIGTERM with the aggregate counters balanced.
-# Phase 6 is the chaos exercise: a third 4-shard server runs with seeded
-# fault injection armed (worker stalls, task/loop panics, 20ms handler
-# delays, and a wall-clock wedge freezing shard 1), a p99 SLO that the
-# injected latency must violate, and a panic-retry budget that must absorb
-# every injected crash. Under a sustained mixed load plus an affinity wave
-# pinned to the wedged shard, every response must still verify (zero 500s),
-# /healthz must be observed degraded and recover to ok, the health
-# supervisor must trip the wedged shard and re-admit it
-# (health_transitions >= 2 in /stats), and the SIGTERM drain must balance
-# with nonzero task_panics in the chaos exit report.
+# shard in /stats), a hot wave of simultaneous /loop jobs must migrate via
+# cross-shard stealing (stolen_in > 0), and the fleet must drain cleanly on
+# SIGTERM with the aggregate counters balanced. Phase 6 is the chaos
+# exercise: a third 4-shard server runs with seeded fault injection armed
+# (worker stalls, task/loop panics, 20ms handler delays), a p99 SLO that
+# the injected latency must violate, and a panic-retry budget that must
+# absorb every injected crash. Under a sustained mixed load every response
+# must still verify (zero 500s), /healthz must be observed degraded and
+# recover to ok, and the SIGTERM drain must balance with nonzero
+# task_panics in the chaos exit report.
 set -eu
 
 ADDR=127.0.0.1:18097
@@ -185,14 +182,15 @@ grep -q "drained cleanly" "$SERVE_LOG"
 echo "== integration: sharded server (-shards 4): placement spreads, overload migrates"
 "$BIN" serve -addr "$ADDR2" -shards 4 -workers 8 -budget 32 -timeout 30s >"$SERVE2_LOG" 2>&1 &
 SERVE2_PID=$!
-# Mixed load spreads across shards via least-load routing; the hot-affinity
-# wave then pins 24 simultaneous /loop jobs to one 2-worker shard, which
-# must backlog and shed roots to its siblings. -expect-shards 4 fails the
-# load run unless /stats shows 4 shards, every shard executing, and at
-# least one cross-shard steal.
+# Mixed load spreads across shards via least-load routing; the hot wave
+# then fires 24 simultaneous /loop jobs, which the router spreads by load
+# over the four 2-worker shards: whichever shards finish their share first
+# pull the others' queued roots over. -expect-shards 4 fails the load run
+# unless /stats shows 4 shards, every shard executing, and at least one
+# cross-shard steal.
 "$BIN" load -addr "http://$ADDR2" -clients 8 -jobs 24 \
 	-fib 20 -loop 100000 -chol 128 -nb 32 \
-	-hot-affinity 24 -hot-loop 1000000 -expect-shards 4
+	-hot-wave 24 -hot-loop 1000000 -expect-shards 4
 kill -TERM "$SERVE2_PID"
 SERVE2_STATUS=0
 wait "$SERVE2_PID" || SERVE2_STATUS=$?
@@ -205,27 +203,15 @@ grep -q "drained cleanly" "$SERVE2_LOG"
 # The per-shard exit report must be present and name every shard.
 grep -q "shard 3/4" "$SERVE2_LOG"
 
-echo "== integration: chaos: injected faults, shard supervision, graceful degradation"
+echo "== integration: chaos: injected faults, graceful degradation"
 # Full scenario, fixed seed: worker stalls, task/loop panics (absorbed by
-# -panic-retries so the answer stream stays clean), 20ms handler delays
-# that must push the 15ms SLO into brownout, and a wedge freezing shard 1
-# between t+750ms and t+2.75s. The mixed load keeps the sibling shards
-# busy; one second in, an affinity wave pins /loop jobs to the wedged
-# shard so its inbox backlogs behind the frozen workers — the health
-# supervisor must trip the shard (its progress epoch stalls with a
-# nonempty inbox) and re-admit it once the wedge lifts. The budget is wide
-# enough that the whole wave is in flight at once (a real backlog, not an
-# admission trickle) and -health-stall shortens the supervisor's patience
-# so the backlog trips the shard before sibling steals drain it: the wave is
-# 64 x 16M iterations, about 350 ms of work, so even three idle sibling
-# shards on a 2-CPU box cannot empty the inbox inside the 100 ms patience
-# (at 8M the backlog lasted about that long and the trip was missed in one
-# run out of seven). Request sizes otherwise stay small so the per-attempt panic probability times the retry
-# budget keeps the failure odds negligible: both load runs verify every
-# response, so a single 500 fails the phase.
+# -panic-retries so the answer stream stays clean) and 20ms handler delays
+# that must push the 15ms SLO into brownout. Request sizes stay small so
+# the per-attempt panic probability times the retry budget keeps the
+# failure odds negligible: the load run verifies every response, so a
+# single 500 fails the phase.
 "$BIN" serve -addr "$ADDR3" -shards 4 -workers 8 -budget 128 -timeout 30s \
-	-chaos stall+panic+latency+wedge:7 -panic-retries 20 -slo 15ms \
-	-health-stall 100ms >"$SERVE3_LOG" 2>&1 &
+	-chaos stall+panic+latency:7 -panic-retries 20 -slo 15ms >"$SERVE3_LOG" 2>&1 &
 SERVE3_PID=$!
 : >"$HEALTH_LOG"
 (
@@ -237,17 +223,7 @@ SERVE3_PID=$!
 ) &
 HEALTH_PID=$!
 "$BIN" load -addr "http://$ADDR3" -clients 12 -jobs 400 \
-	-fib 6 -loop 3000000 -chol 64 -nb 32 -retries 3 >"$LOAD3_LOG" 2>&1 &
-LOAD3_PID=$!
-sleep 1
-# The wave lands inside the wedge window: every request pins to shard 1.
-"$BIN" load -addr "http://$ADDR3" -clients 0 -jobs 0 \
-	-hot-affinity 64 -hot-loop 16000000 -retries 3 || {
-	echo "integration: chaos affinity wave failed (an injected fault leaked into a response?)" >&2
-	cat "$SERVE3_LOG" >&2
-	exit 1
-}
-wait "$LOAD3_PID" || {
+	-fib 6 -loop 3000000 -chol 64 -nb 32 -retries 3 >"$LOAD3_LOG" 2>&1 || {
 	echo "integration: chaos load failed (an injected fault leaked into a response?):" >&2
 	cat "$LOAD3_LOG" >&2
 	cat "$SERVE3_LOG" >&2
@@ -258,28 +234,6 @@ if ! grep -q '^degraded' "$HEALTH_LOG"; then
 	echo "integration: /healthz never reported degraded under injected latency" >&2
 	exit 1
 fi
-# The supervisor must have tripped the wedged shard and re-admitted it:
-# at least one full unhealthy->healthy episode somewhere in the fleet.
-trans_sum() {
-	curl -s "http://$ADDR3/stats" | grep -o '"health_transitions": *[0-9]*' |
-		grep -o '[0-9]*$' | awk '{s += $1} END {print s + 0}'
-}
-TRANS=0
-i=0
-while [ "$i" -lt 100 ]; do
-	TRANS=$(trans_sum)
-	if [ "${TRANS:-0}" -ge 2 ]; then
-		break
-	fi
-	i=$((i + 1))
-	sleep 0.1
-done
-if [ "${TRANS:-0}" -lt 2 ]; then
-	echo "integration: shard health transitions = ${TRANS:-0}, want >= 2 (trip + re-admit)" >&2
-	curl -s "http://$ADDR3/stats" >&2 || true
-	exit 1
-fi
-echo "shard supervision OK ($TRANS health transitions)"
 # With the load gone the brownout windows clear and /healthz must recover
 # to ok (three consecutive good windows) before the drain.
 OK_SEEN=0

@@ -37,7 +37,7 @@ const workerPath = "xkaapi/internal/core"
 // function literal passed to one of these is a task, region or loop body.
 var entrypoints = map[string]bool{
 	"Spawn": true, "SpawnTask": true, "NewAdaptiveTask": true,
-	"Submit": true, "SubmitCtx": true, "SubmitAffinity": true,
+	"Submit": true, "SubmitCtx": true,
 	"Run": true, "RunCtx": true, "RunRoot": true,
 	"InsertTask": true, "InsertTaskCtx": true,
 	"Parallel": true, "ParallelCtx": true,

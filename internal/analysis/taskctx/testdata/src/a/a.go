@@ -74,15 +74,6 @@ func insert(q inserter) {
 	})
 }
 
-// affinity submits through the sharded-fleet entry point: the literal
-// passed to SubmitAffinity is a task body like any other submit shape.
-func affinity(rt *xkaapi.Runtime, ctx context.Context) error {
-	j := rt.SubmitAffinity(ctx, 7, func(p *xkaapi.Proc) {
-		_ = context.Background() // want `task body calls context.Background`
-	})
-	return j.Wait()
-}
-
 // helper is not a task body: ordinary code may build root contexts.
 func helper() context.Context {
 	return context.Background()
@@ -91,5 +82,4 @@ func helper() context.Context {
 var _ = kernel
 var _ = regions
 var _ = insert
-var _ = affinity
 var _ = helper

@@ -13,10 +13,7 @@
 // failures (how many, at which sequence numbers) is a pure function of
 // (Scenario, seed). Which goroutine draws sequence number n, and at what
 // wall-clock moment, still depends on scheduling — the harness makes the
-// fault pattern reproducible, not the interleaving. The wedge site is the
-// deliberate exception: it is a wall-clock window (After/For from injector
-// creation), because "shard k freezes between t1 and t2" is the scenario
-// integration tests need to observe end to end.
+// fault pattern reproducible, not the interleaving.
 //
 // Sites:
 //
@@ -28,7 +25,6 @@
 //     deferred
 //   - handler delay: a server handler sleeps after admission, holding its
 //     budget slot
-//   - wedge: every worker of one shard freezes for a wall-clock window
 //
 // Scenarios come from a Scenario struct (tests) or from Parse
 // ("panic+stall:42", the -chaos flag of xkserve serve).
@@ -53,7 +49,6 @@ const (
 	SiteWorkerStall
 	SiteInboxDelay
 	SiteHandlerDelay
-	SiteWedge
 	numSites
 )
 
@@ -72,8 +67,6 @@ func (s Site) String() string {
 		return "inbox_delays"
 	case SiteHandlerDelay:
 		return "handler_delays"
-	case SiteWedge:
-		return "wedge_pauses"
 	}
 	return "unknown"
 }
@@ -82,14 +75,6 @@ func (s Site) String() string {
 type Pulse struct {
 	Prob float64
 	For  time.Duration
-}
-
-// WedgeSpec freezes every worker of one shard for a wall-clock window
-// measured from injector creation: [After, After+For).
-type WedgeSpec struct {
-	Shard int
-	After time.Duration
-	For   time.Duration
 }
 
 // Scenario is the full fault configuration of one Injector. The zero value
@@ -111,9 +96,6 @@ type Scenario struct {
 	InboxDelay Pulse
 	// HandlerDelay makes a server handler sleep after admission.
 	HandlerDelay Pulse
-	// Wedge freezes one whole shard for a wall-clock window. For == 0
-	// disables it.
-	Wedge WedgeSpec
 }
 
 // site is one injection point's state: a decision sequence number and a hit
@@ -132,17 +114,16 @@ type site struct {
 type Injector struct {
 	sc    Scenario
 	seed  uint64
-	start time.Time
 	sites [numSites]site
 }
 
-// New builds an injector for sc. The wedge window starts counting now.
+// New builds an injector for sc.
 func New(sc Scenario) *Injector {
 	seed := sc.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return &Injector{sc: sc, seed: seed, start: time.Now()}
+	return &Injector{sc: sc, seed: seed}
 }
 
 // Scenario returns the configuration the injector was built with (with the
@@ -236,22 +217,6 @@ func (in *Injector) HandlerDelay() time.Duration {
 	return in.sc.HandlerDelay.For
 }
 
-// WedgeRemaining returns how much longer workers of shard must stay frozen:
-// zero outside the wedge window or for any other shard. The first positive
-// answer counts one wedge pause per caller.
-func (in *Injector) WedgeRemaining(shard int) time.Duration {
-	w := in.sc.Wedge
-	if w.For == 0 || shard != w.Shard {
-		return 0
-	}
-	since := time.Since(in.start)
-	if since < w.After || since >= w.After+w.For {
-		return 0
-	}
-	in.sites[SiteWedge].hits.Add(1)
-	return w.After + w.For - since
-}
-
 // Counts is a snapshot of how many times each site actually fired.
 type Counts struct {
 	TaskPanics    uint64
@@ -260,7 +225,6 @@ type Counts struct {
 	WorkerStalls  uint64
 	InboxDelays   uint64
 	HandlerDelays uint64
-	WedgePauses   uint64
 }
 
 // Counts snapshots the per-site injection counters.
@@ -272,16 +236,15 @@ func (in *Injector) Counts() Counts {
 		WorkerStalls:  in.sites[SiteWorkerStall].hits.Load(),
 		InboxDelays:   in.sites[SiteInboxDelay].hits.Load(),
 		HandlerDelays: in.sites[SiteHandlerDelay].hits.Load(),
-		WedgePauses:   in.sites[SiteWedge].hits.Load(),
 	}
 }
 
 // String renders the counters as the one-line report serve prints at exit.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"task_panics=%d loop_panics=%d steal_fails=%d worker_stalls=%d inbox_delays=%d handler_delays=%d wedge_pauses=%d",
+		"task_panics=%d loop_panics=%d steal_fails=%d worker_stalls=%d inbox_delays=%d handler_delays=%d",
 		c.TaskPanics, c.LoopPanics, c.StealFails, c.WorkerStalls,
-		c.InboxDelays, c.HandlerDelays, c.WedgePauses)
+		c.InboxDelays, c.HandlerDelays)
 }
 
 // Named scenario fragments for Parse. Probabilities are tuned for a loaded
@@ -295,20 +258,13 @@ var fragments = map[string]func(*Scenario){
 	"latency": func(sc *Scenario) {
 		sc.HandlerDelay = Pulse{Prob: 0.10, For: 20 * time.Millisecond}
 	},
-	// The wedge fragment freezes shard 1 — the shard the load generator's
-	// affinity=1 wave pins to (key 1 mod shards) — so a chaos exercise can
-	// guarantee a backlog behind the wedge for the health supervisor to
-	// observe, regardless of how least-load placement spreads the rest.
-	"wedge": func(sc *Scenario) {
-		sc.Wedge = WedgeSpec{Shard: 1, After: 750 * time.Millisecond, For: 2 * time.Second}
-	},
 }
 
 // Parse builds an injector from a -chaos flag value: one or more named
 // fragments joined with "+", optionally followed by ":<seed>".
 //
 //	panic:42            task+loop panics, seed 42
-//	stall+panic+wedge:7 combined scenario, seed 7
+//	stall+panic:7       combined scenario, seed 7
 //	all                 every fragment, default seed 1
 //
 // An empty spec or "off" returns (nil, nil): chaos disabled.
@@ -337,7 +293,7 @@ func Parse(spec string) (*Injector, error) {
 		}
 		f, ok := fragments[name]
 		if !ok {
-			return nil, fmt.Errorf("chaos: unknown scenario %q (have panic, steal, stall, inbox, latency, wedge, all)", name)
+			return nil, fmt.Errorf("chaos: unknown scenario %q (have panic, steal, stall, inbox, latency, all)", name)
 		}
 		f(&sc)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestDeterministicDecisions: the n-th decision of a site is a pure function
@@ -108,29 +107,6 @@ func TestConcurrentDrawSetIsSeedDetermined(t *testing.T) {
 	}
 }
 
-// TestWedgeWindow: WedgeRemaining answers positively only inside the
-// wall-clock window and only for the configured shard.
-func TestWedgeWindow(t *testing.T) {
-	in := New(Scenario{Wedge: WedgeSpec{Shard: 1, After: 20 * time.Millisecond, For: 80 * time.Millisecond}})
-	if d := in.WedgeRemaining(1); d != 0 {
-		t.Fatalf("wedged before the window opened: %v", d)
-	}
-	time.Sleep(30 * time.Millisecond)
-	if d := in.WedgeRemaining(0); d != 0 {
-		t.Fatalf("wrong shard wedged: %v", d)
-	}
-	if d := in.WedgeRemaining(1); d <= 0 || d > 80*time.Millisecond {
-		t.Fatalf("inside the window, remaining = %v", d)
-	}
-	time.Sleep(90 * time.Millisecond)
-	if d := in.WedgeRemaining(1); d != 0 {
-		t.Fatalf("wedged after the window closed: %v", d)
-	}
-	if in.Counts().WedgePauses == 0 {
-		t.Fatal("wedge pauses not counted")
-	}
-}
-
 // TestParse covers the flag grammar: fragments, combination, seeds, the off
 // switch and rejection of unknown names.
 func TestParse(t *testing.T) {
@@ -157,7 +133,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("default seed = %d, want 1", sc.Seed)
 	}
 	if sc.TaskPanic == 0 || sc.StealFail == 0 || sc.WorkerStall.Prob == 0 ||
-		sc.InboxDelay.Prob == 0 || sc.HandlerDelay.Prob == 0 || sc.Wedge.For == 0 {
+		sc.InboxDelay.Prob == 0 || sc.HandlerDelay.Prob == 0 {
 		t.Fatalf("all left a site unset: %+v", sc)
 	}
 	if _, err := Parse("gremlins:1"); err == nil {
@@ -178,9 +154,9 @@ func TestParse(t *testing.T) {
 func FuzzChaosParse(f *testing.F) {
 	for _, spec := range []string{
 		"", "off", " off ", "all", "all:3", "panic:42", "panic+stall:42", "stall+panic:7",
-		"stall+panic+latency+wedge:7", "steal+inbox", " steal + inbox :9", "panic+panic+all",
+		"stall+panic+latency:7", "steal+inbox", " steal + inbox :9", "panic+panic+all",
 		"gremlins:1", "panic:banana", "panic:", ":5", "+", "panic+", "panic:-1", "panic:0",
-		"all:18446744073709551615", "all:18446744073709551616", "wedge:1:2",
+		"all:18446744073709551615", "all:18446744073709551616", "latency:1:2",
 	} {
 		f.Add(spec)
 	}

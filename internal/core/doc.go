@@ -170,17 +170,16 @@
 // set of victims. Fleet (fleet.go) is the pool: N >= 1 Runtime shards, each
 // a full scheduler of ShardSize workers, behind a load-aware router. There
 // is no second shape — the default pool is a fleet of one shard, for which
-// the router returns that shard, cross-shard stealing is off, no health
-// supervisor runs and no worker writes the progress epoch — so everything
-// above Fleet is shard-agnostic, and NewRuntime remains as what a shard is
+// the router returns that shard and cross-shard stealing is off — so
+// everything above Fleet is shard-agnostic, and NewRuntime remains as what a shard is
 // and what this package's tests drive directly.
 //
 // Placement: each submission goes to the least-loaded shard, where load is
 // live root jobs plus queued inbox depth (queued roots count in both
-// terms, biasing the router away from backlog). SubmitAffinity(key) pins
-// the job to shard key mod N instead, so related jobs share one shard's
-// caches; the pin is placement-only. Ties spread via a rotating scan
-// origin.
+// terms, biasing the router away from backlog). Ties spread via a
+// rotating scan origin. A submit that leaves its shard with a backlog and
+// no idle worker wakes a parked worker of a sibling (place), so the
+// rebalancer below starts at once.
 //
 // Rebalancing: an idle shard's workers, having exhausted their own deque,
 // their shard's steal sweep and their shard's inbox, pull the oldest
@@ -192,6 +191,11 @@
 // Executed + Cancelled balance does not hold under migration — it holds
 // fleet-wide (Fleet.Stats), and ShardStats exposes StolenIn/StolenOut so
 // monitoring can see the migration itself.
+//
+// Stuck shards need no watchdog. A shard whose every worker is blocked in
+// a body never finishes a root, so its load never falls and the router
+// places new work elsewhere, while the siblings' stealRoot empties the
+// backlog it already holds (TestFleetFrozenShardStrandsNothing).
 //
 // Drain: Fleet.Close first flips every shard's closing flag — each under
 // the shard's own jobsMu, the exact critical section its Submit admission

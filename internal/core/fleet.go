@@ -24,9 +24,6 @@ type FleetConfig struct {
 	// NoSteal disables the cross-shard steal path, leaving only the router
 	// (ablation: pure least-load placement). A 1-shard fleet never steals.
 	NoSteal bool
-	// Health tunes the shard health supervisor (health.go). The zero value
-	// enables it with the default cadence on any multi-shard fleet.
-	Health HealthConfig
 	// Runtime is the per-shard template: aggregation, chaos and the base
 	// seed apply to every shard (each shard derives a distinct
 	// victim-selection stream from the seed). Workers is overridden by
@@ -35,15 +32,16 @@ type FleetConfig struct {
 }
 
 // Fleet is N Runtime shards behind a load-aware router: each submitted job
-// is placed on the least-loaded shard (live roots + queued inbox depth,
-// with an optional affinity key pinning related jobs to one shard), and an
-// idle shard's workers pull queued roots from a loaded sibling's inbox as
-// the slow-path rebalancer — the same cooperative stealing the in-shard
-// scheduler runs, lifted one level up. A Fleet is the one pool shape clients
-// (the xkaapi facade and everything above it) program against: a plain pool
-// is a fleet of one shard, where route returns that shard, stealing is off,
-// no supervisor runs and no worker touches the progress epoch — nothing
-// fleet-specific is paid. Create one with NewFleet.
+// is placed on the least-loaded shard (live roots + queued inbox depth),
+// and an idle shard's workers pull queued roots from a loaded sibling's
+// inbox as the slow-path rebalancer — the same cooperative stealing the
+// in-shard scheduler runs, lifted one level up. A shard whose workers are
+// all stuck never sees its load fall, so the router already avoids it and
+// its siblings drain its backlog: no watchdog is needed. A Fleet is the one
+// pool shape clients (the xkaapi facade and everything above it) program
+// against: a plain pool is a fleet of one shard, where route returns that
+// shard and stealing is off — nothing fleet-specific is paid. Create one
+// with NewFleet.
 type Fleet struct {
 	cfg     FleetConfig
 	shards  []*Runtime
@@ -52,11 +50,6 @@ type Fleet struct {
 
 	closeMu sync.Mutex // serializes Close; shard flags flip before any drain
 	closed  bool
-
-	// Health supervisor plumbing (health.go): the goroutine watching the
-	// shards' progress epochs. nil healthStop means no supervisor runs.
-	healthStop chan struct{}
-	healthWG   sync.WaitGroup
 }
 
 // ShardStats describes one shard of a Fleet for per-shard monitoring: where
@@ -73,13 +66,6 @@ type ShardStats struct {
 	LiveRoots int64 // roots accepted by this shard and not yet finished
 	StolenIn  int64 // roots this shard's workers pulled from sibling inboxes
 	StolenOut int64 // roots of this shard claimed by sibling shards
-
-	// Health supervision (health.go). Unhealthy means the supervisor is
-	// currently diverting placements away from this shard; transitions count
-	// both directions, so one full unhealthy-and-back episode adds 2.
-	Unhealthy         bool
-	HealthTransitions int64
-	RoutedAround      int64 // placements diverted away while unhealthy
 
 	Sched Stats // the shard's scheduler counters
 }
@@ -99,7 +85,7 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		// victims in lockstep. The increment is the 64-bit golden-ratio
 		// constant, so shard seeds stay well spread for any base seed.
 		sc.Seed = cfg.Runtime.Seed + uint64(i)*0x9E3779B97F4A7C15
-		f.shards[i] = newRuntime(sc, f, i, cfg.Shards)
+		f.shards[i] = newRuntime(sc, f, i)
 	}
 	// Two-phase startup: every shard is constructed and published in
 	// f.shards before any worker runs, because a worker may hit the
@@ -108,7 +94,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	for _, s := range f.shards {
 		s.start()
 	}
-	f.startHealth()
 	return f
 }
 
@@ -124,55 +109,25 @@ func (f *Fleet) NumWorkers() int {
 	return n
 }
 
-// route picks the target shard for one submission. An affinity key pins the
-// job to a deterministic shard (key mod Shards), so jobs sharing a key share
-// that shard's caches; otherwise a least-loaded scan wins, starting from a
+// route picks the least-loaded shard for one submission, scanning from a
 // rotating origin so equal loads spread across shards instead of piling on
 // shard 0. The scan short-circuits on a load-0 shard: it cannot lose.
-//
-// Shards the supervisor marked unhealthy (health.go) are skipped: a pinned
-// key falls through to the next healthy shard in deterministic order (same
-// key, same stand-in, so the affinity benefit survives the outage), the
-// least-loaded scan simply ignores them. Every diversion is counted on the
-// sick shard. If every shard is unhealthy there is nothing to prefer and the
-// original choice stands — routing must degrade to normal placement, never
-// reject.
-func (f *Fleet) route(key uint64, hasKey bool) *Runtime {
+func (f *Fleet) route() *Runtime {
 	n := len(f.shards)
 	if n == 1 {
 		return f.shards[0]
-	}
-	if hasKey {
-		home := f.shards[key%uint64(n)]
-		if !home.unhealthy.Load() {
-			return home
-		}
-		home.routedAround.Add(1)
-		for i := uint64(1); i < uint64(n); i++ {
-			if s := f.shards[(key+i)%uint64(n)]; !s.unhealthy.Load() {
-				return s
-			}
-		}
-		return home // every shard unhealthy: the pin stands
 	}
 	start := int(f.rr.Add(1) % uint32(n))
 	var best *Runtime
 	var bestLoad int64
 	for i := 0; i < n; i++ {
 		s := f.shards[(start+i)%n]
-		if s.unhealthy.Load() {
-			s.routedAround.Add(1)
-			continue
-		}
 		if l := s.load(); best == nil || l < bestLoad {
 			best, bestLoad = s, l
 			if bestLoad == 0 {
 				break
 			}
 		}
-	}
-	if best == nil {
-		return f.shards[start] // every shard unhealthy: load-blind rotation
 	}
 	return best
 }
@@ -210,16 +165,7 @@ func (f *Fleet) Submit(fn func(*Worker)) *Job {
 
 // SubmitCtx places fn on the least-loaded shard, bound to ctx.
 func (f *Fleet) SubmitCtx(ctx context.Context, fn func(*Worker)) *Job {
-	return f.place(f.route(0, false), ctx, fn)
-}
-
-// SubmitAffinity is SubmitCtx with a placement hint: all jobs submitted
-// with the same key are routed to the same shard, trading load spread for
-// cache locality between related jobs. The pin is on placement only — if
-// the keyed shard backlogs while siblings idle, cross-shard stealing still
-// migrates the queued roots.
-func (f *Fleet) SubmitAffinity(ctx context.Context, key uint64, fn func(*Worker)) *Job {
-	return f.place(f.route(key, true), ctx, fn)
+	return f.place(f.route(), ctx, fn)
 }
 
 // RunRoot is Submit followed by Job.Wait.
@@ -259,7 +205,6 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	f.stopHealth() // before the drain: the supervisor must not nudge dying shards
 	for _, s := range f.shards {
 		s.beginClose()
 	}

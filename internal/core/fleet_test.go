@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,11 +35,11 @@ func TestFleetRoutePlacement(t *testing.T) {
 	defer f.Close()
 
 	release := make(chan struct{})
-	blocker := f.SubmitAffinity(context.Background(), 0, func(w *Worker) { <-release })
+	blocker := f.place(f.shards[0], context.Background(), func(w *Worker) { <-release })
 
-	// The blocker pins shard 0 (key 0 mod 2) and occupies its only worker;
-	// shard 0's load is now 1 against shard 1's 0, so a non-affinity submit
-	// must route to shard 1 and complete while shard 0 is stuck.
+	// The blocker is placed on shard 0 and occupies its only worker; shard
+	// 0's load is now 1 against shard 1's 0, so a routed submit must land
+	// on shard 1 and complete while shard 0 is stuck.
 	ran := false
 	j := f.Submit(func(w *Worker) { ran = true })
 	waitDone(t, j, 10*time.Second, "submit routed around the blocked shard")
@@ -53,34 +54,56 @@ func TestFleetRoutePlacement(t *testing.T) {
 	waitDone(t, blocker, 10*time.Second, "blocker")
 }
 
-// TestFleetAffinitySticks: jobs sharing an affinity key all land on the
-// deterministic key-mod-shards shard; with stealing off, no other shard
-// executes anything.
-func TestFleetAffinitySticks(t *testing.T) {
-	f := NewFleet(FleetConfig{Shards: 4, ShardSize: 1, NoSteal: true})
+// TestFleetFrozenShardStrandsNothing: a shard whose only worker is blocked
+// inside a body strands no later job, and no watchdog is involved. The
+// frozen shard's load never falls, so the router places new roots on its
+// sibling, and the sibling's stealRoot drains whatever was queued behind
+// the blocker. Which shard freezes is up to the scheduler — the idle
+// shard's worker may steal the blocker itself — so the body reports it.
+func TestFleetFrozenShardStrandsNothing(t *testing.T) {
+	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 1})
 	defer f.Close()
 
-	const key = 5 // pins shard 5 mod 4 = 1
-	for i := 0; i < 8; i++ {
-		f.SubmitAffinity(context.Background(), key, func(w *Worker) {})
+	frozen := make(chan *Runtime, 1)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close: a failed check must not hang the drain
+	blocker := f.SubmitCtx(context.Background(), func(w *Worker) {
+		frozen <- w.rt
+		<-release
+	})
+	var sick *Runtime
+	select {
+	case sick = <-frozen:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the blocking body never started")
 	}
+
+	const jobs = 64
+	var ran atomic.Int32
+	handles := make([]*Job, jobs)
+	for i := range handles {
+		handles[i] = f.SubmitCtx(context.Background(), func(w *Worker) { ran.Add(1) })
+	}
+	for i, j := range handles {
+		waitDone(t, j, 10*time.Second, fmt.Sprintf("job %d behind frozen shard %d", i, sick.shardIndex))
+	}
+	if got := ran.Load(); got != jobs {
+		t.Fatalf("%d of %d job bodies ran while shard %d was frozen", got, jobs, sick.shardIndex)
+	}
+
+	unblock()
+	waitDone(t, blocker, 10*time.Second, "blocker")
 	if err := f.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	for i, s := range f.shards {
-		exec := s.Stats().Executed
-		if i == int(key)%len(f.shards) {
-			if exec != 8 {
-				t.Fatalf("affinity shard %d executed %d jobs, want 8", i, exec)
-			}
-		} else if exec != 0 {
-			t.Fatalf("shard %d executed %d jobs despite affinity pinning elsewhere", i, exec)
-		}
+	if s := f.Stats(); s.Spawned != s.Executed+s.Cancelled {
+		t.Fatalf("fleet imbalance: spawned=%d executed=%d cancelled=%d", s.Spawned, s.Executed, s.Cancelled)
 	}
 }
 
 // TestFleetCrossShardStealUnderImbalance overloads one shard on purpose:
-// four jobs pinned to shard 0 (one worker), whose bodies rendezvous — none
+// four jobs placed on shard 0 (one worker), whose bodies rendezvous — none
 // returns until all four have started. The only way all four can run
 // concurrently is for three of the queued roots to migrate to sibling
 // shards via cross-shard stealing, so completion itself proves migration;
@@ -94,7 +117,7 @@ func TestFleetCrossShardStealUnderImbalance(t *testing.T) {
 	release := make(chan struct{})
 	jobs := make([]*Job, hot)
 	for i := range jobs {
-		jobs[i] = f.SubmitAffinity(context.Background(), 0, func(w *Worker) {
+		jobs[i] = f.place(f.shards[0], context.Background(), func(w *Worker) {
 			started.Add(1)
 			<-release
 		})
@@ -108,8 +131,8 @@ func TestFleetCrossShardStealUnderImbalance(t *testing.T) {
 	// migration — migration is still only possible through stealRoot.
 	deadline := time.After(10 * time.Second)
 	for started.Load() < hot {
-		for key := uint64(1); key < 4; key++ {
-			f.SubmitAffinity(context.Background(), key, func(w *Worker) {})
+		for _, s := range f.shards[1:] {
+			f.place(s, context.Background(), func(w *Worker) {})
 		}
 		select {
 		case <-deadline:
@@ -150,7 +173,7 @@ func TestFleetDrainRefusesEverywhere(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker := f.SubmitAffinity(context.Background(), 0, func(w *Worker) {
+	blocker := f.place(f.shards[0], context.Background(), func(w *Worker) {
 		close(started)
 		<-release
 	})
@@ -222,7 +245,7 @@ func TestFleetCloseSubmitStorm(t *testing.T) {
 				if i%2 == 0 {
 					j = f.Submit(func(*Worker) { executed.Add(1) })
 				} else {
-					j = f.SubmitAffinity(context.Background(), uint64(g), func(*Worker) { executed.Add(1) })
+					j = f.place(f.shards[g%len(f.shards)], context.Background(), func(*Worker) { executed.Add(1) })
 				}
 				errs <- j.Wait()
 			}
@@ -255,8 +278,7 @@ func TestFleetCloseSubmitStorm(t *testing.T) {
 
 // TestFleetDefaults: zero-value knobs resolve to the documented defaults
 // (one shard of GOMAXPROCS workers), and a one-shard fleet is a plain pool:
-// stealing off, no supervisor goroutine, and no worker ever touches the
-// progress epoch — nothing fleet-specific is paid.
+// cross-shard stealing is off.
 func TestFleetDefaults(t *testing.T) {
 	f := NewFleet(FleetConfig{Shards: 2, ShardSize: 3})
 	defer f.Close()
@@ -283,18 +305,5 @@ func TestFleetDefaults(t *testing.T) {
 	}
 	if !one.noSteal {
 		t.Fatal("1-shard fleet must disable cross-shard stealing")
-	}
-	if one.healthStop != nil {
-		t.Fatal("1-shard fleet started a health supervisor")
-	}
-	if err := one.RunRoot(func(w *Worker) {
-		for i := 0; i < 4*statFlushEvery; i++ {
-			w.Spawn(func(*Worker) {})
-		}
-	}); err != nil {
-		t.Fatalf("RunRoot: %v", err)
-	}
-	if got := one.shards[0].progress.Load(); got != 0 {
-		t.Fatalf("1-shard fleet bumped its progress epoch %d times, want 0", got)
 	}
 }

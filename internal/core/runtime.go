@@ -24,9 +24,9 @@ type Config struct {
 	// selects a fixed default, making victim sequences reproducible.
 	Seed uint64
 	// Chaos installs a fault injector: task-body panics, steal-probe
-	// misses, worker stalls, inbox delivery delays and shard wedges are
-	// then drawn from its seeded decision streams. nil (the default)
-	// disables injection entirely — every site is a single nil check.
+	// misses, worker stalls and inbox delivery delays are then drawn from
+	// its seeded decision streams. nil (the default) disables injection
+	// entirely — every site is a single nil check.
 	// Shards of one Fleet share one injector.
 	Chaos *chaos.Injector
 }
@@ -50,22 +50,10 @@ type Runtime struct {
 	stolenIn   atomic.Int64 // roots pulled from sibling shards' inboxes (fleet.go)
 	stolenOut  atomic.Int64 // roots of this shard claimed by sibling shards
 
-	// Health supervision state (health.go). progress is the shard's epoch:
-	// workers bump it as they publish executed batches, so a fleet
-	// supervisor can tell "busy" from "wedged" without touching the task
-	// path. unhealthy diverts the router; the flip/divert counters feed
-	// ShardStats. All four are written only in a fleet of two or more shards
-	// (flushStats gates the progress bump on shardTotal > 1).
-	progress     atomic.Int64
-	unhealthy    atomic.Bool
-	healthFlips  atomic.Int64 // healthy <-> unhealthy transitions
-	routedAround atomic.Int64 // placements diverted away while unhealthy
-
 	// Fleet identity, wired by NewFleet before the workers start and never
-	// written again: nil/0/0 for a bare NewRuntime shard.
+	// written again: nil/0 for a bare NewRuntime shard.
 	fleet      *Fleet
 	shardIndex int
-	shardTotal int
 
 	jobsMu   sync.Mutex
 	jobsCond *sync.Cond
@@ -100,7 +88,7 @@ const defaultSeed = 0x853C49E6748FEA9B
 // NewRuntime creates the worker pool: cfg.Workers goroutines are started
 // (and park when idle); work reaches them through Submit or RunRoot.
 func NewRuntime(cfg Config) *Runtime {
-	rt := newRuntime(cfg, nil, 0, 0)
+	rt := newRuntime(cfg, nil, 0)
 	rt.start()
 	return rt
 }
@@ -112,11 +100,11 @@ func NewRuntime(cfg Config) *Runtime {
 // start the workers earlier, because a fleet worker may take the
 // cross-shard steal path (which reads the sibling slice) on its very first
 // scheduling round.
-func newRuntime(cfg Config, fleet *Fleet, shard, shards int) *Runtime {
+func newRuntime(cfg Config, fleet *Fleet, shard int) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	rt := &Runtime{cfg: cfg, chaos: cfg.Chaos, fleet: fleet, shardIndex: shard, shardTotal: shards}
+	rt := &Runtime{cfg: cfg, chaos: cfg.Chaos, fleet: fleet, shardIndex: shard}
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	rt.jobsCond = sync.NewCond(&rt.jobsMu)
 	rt.workers = make([]*Worker, cfg.Workers)
@@ -250,16 +238,13 @@ func (rt *Runtime) NumWorkers() int { return len(rt.workers) }
 // shardStats is this shard's entry of Fleet.ShardStats.
 func (rt *Runtime) shardStats() ShardStats {
 	return ShardStats{
-		Shard:             rt.shardIndex,
-		Workers:           len(rt.workers),
-		InboxLen:          rt.inbox.size(),
-		LiveRoots:         rt.liveRoots.Load(),
-		StolenIn:          rt.stolenIn.Load(),
-		StolenOut:         rt.stolenOut.Load(),
-		Unhealthy:         rt.unhealthy.Load(),
-		HealthTransitions: rt.healthFlips.Load(),
-		RoutedAround:      rt.routedAround.Load(),
-		Sched:             rt.Stats(),
+		Shard:     rt.shardIndex,
+		Workers:   len(rt.workers),
+		InboxLen:  rt.inbox.size(),
+		LiveRoots: rt.liveRoots.Load(),
+		StolenIn:  rt.stolenIn.Load(),
+		StolenOut: rt.stolenOut.Load(),
+		Sched:     rt.Stats(),
 	}
 }
 

@@ -134,11 +134,7 @@ func (w *Worker) spawnedTotal() int64 {
 // flushStats publishes the worker's cached increments into the padded
 // atomics any goroutine may read. Owner-only; called every statFlushEvery
 // increments and whenever the worker transitions toward idleness, so a
-// quiescent pool always has fully published counters. A shard with siblings
-// also advances its progress epoch here — one shared add per published
-// executed batch, not per task — which is how the health supervisor tells a
-// busy shard from a wedged one without touching the task path. A one-shard
-// fleet has no supervisor (health.go) and skips the add.
+// quiescent pool always has fully published counters.
 func (w *Worker) flushStats() {
 	c := &w.cache
 	if c.spawned != 0 {
@@ -148,9 +144,6 @@ func (w *Worker) flushStats() {
 	if c.executed != 0 {
 		w.stats.executed.Add(c.executed)
 		c.executed = 0
-		if rt := w.rt; rt.shardTotal > 1 {
-			rt.progress.Add(1)
-		}
 	}
 	if c.job != nil {
 		// Publish the per-job executed batch and drop the job pointer: a
@@ -639,7 +632,7 @@ func (w *Worker) run() {
 			return
 		}
 		if cz := rt.chaos; cz != nil {
-			w.chaosPause(cz) // stall / wedge sites; no-op on most draws
+			w.chaosPause(cz) // stall site; no-op on most draws
 		}
 		if t := w.deque.pop(); t != nil {
 			w.execute(t)
@@ -706,28 +699,20 @@ func (w *Worker) run() {
 }
 
 // chaosSlice is the granularity of a chaos pause: the stalled worker sleeps
-// in short slices, re-checking stop between them, so an injected stall or
-// shard wedge can never hold Close hostage.
+// in short slices, re-checking stop between them, so an injected stall can
+// never hold Close hostage.
 const chaosSlice = 500 * time.Microsecond
 
-// chaosPause serves the worker-stall and shard-wedge chaos sites: a wedge
-// window covering this worker's shard freezes it for the remainder of the
-// window, otherwise a stall draw may pause it briefly. Counters are flushed
-// first so the health supervisor sees progress up to the freeze — the point
-// of the wedge site is that the *absence* of further progress is what trips
-// the shard unhealthy. This is a deliberate injected slow path, hence the
-// coldpath exemption.
+// chaosPause serves the worker-stall chaos site: a stall draw may pause the
+// worker briefly before its next scheduling round. This is a deliberate
+// injected slow path, hence the coldpath exemption.
 //
 //xk:coldpath
 func (w *Worker) chaosPause(cz *chaos.Injector) {
-	d := cz.WedgeRemaining(w.rt.shardIndex)
+	d := cz.WorkerStall()
 	if d == 0 {
-		d = cz.WorkerStall()
-		if d == 0 {
-			return
-		}
+		return
 	}
-	w.flushStats()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) && !w.rt.stop.Load() {
 		time.Sleep(chaosSlice)

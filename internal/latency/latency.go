@@ -18,6 +18,7 @@
 package latency
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -135,7 +136,11 @@ func (s *Snapshot) Quantile(q float64) time.Duration {
 	} else if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(s.Total))
+	// The ceil is taken a hair below the product, so a product that is an
+	// integer in decimal but lands just above it in binary (0.07 × 100 is
+	// 7.000000000000001) keeps its exact rank.
+	p := q * float64(s.Total)
+	rank := uint64(math.Ceil(p - p*1e-12))
 	if rank < 1 {
 		rank = 1
 	}

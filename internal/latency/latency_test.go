@@ -80,6 +80,32 @@ func TestQuantiles(t *testing.T) {
 	if sum.Count != 1000 || sum.P50NS == 0 || sum.P99NS < sum.P50NS || sum.MaxNS < sum.P99NS {
 		t.Errorf("Summary not ordered: %+v", sum)
 	}
+
+	// The rank is ceil(q·Total): a fractional product rounds up, so nine
+	// 1ms samples and one 1s sample put p99 (rank ⌈9.9⌉ = 10) on the 1s
+	// one, while a product that is exact in decimal keeps its rank (q =
+	// 0.07 over 100 samples is rank 7, the last 1ms sample).
+	for _, tc := range []struct {
+		fast, slow int // samples of 1ms, then of 1s
+		q          float64
+		want       time.Duration
+	}{
+		{fast: 9, slow: 1, q: 0.99, want: time.Second},
+		{fast: 7, slow: 93, q: 0.07, want: time.Millisecond},
+		{fast: 7, slow: 93, q: 0.08, want: time.Second},
+	} {
+		var h Histogram
+		for i := 0; i < tc.fast; i++ {
+			h.Record(time.Millisecond)
+		}
+		for i := 0; i < tc.slow; i++ {
+			h.Record(time.Second)
+		}
+		s := h.Snapshot()
+		if got := s.Quantile(tc.q); got < tc.want || float64(got) > float64(tc.want)*1.13 {
+			t.Errorf("%d×1ms + %d×1s: Quantile(%v) = %v, want %v", tc.fast, tc.slow, tc.q, got, tc.want)
+		}
+	}
 }
 
 // TestEmptyAndNegative checks the zero histogram and negative durations.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,7 +33,6 @@ type waiter struct {
 	grant   chan admitCode // buffered(1): decided outcome
 	decided bool           // an outcome was sent on grant
 	code    admitCode      // the outcome sent (valid when decided)
-	gone    bool           // the waiting handler gave up (ctx died first)
 }
 
 // admitQueue is the server's admission control: a fixed budget of in-flight
@@ -51,9 +51,8 @@ type admitQueue struct {
 	mu       sync.Mutex
 	free     int // unheld budget slots
 	budget   int
-	maxQueue int // bound on queued waiters; 0 disables queueing
-	waiters  []*waiter
-	queued   int // live (non-abandoned) waiters, <= maxQueue
+	maxQueue int       // bound on queued waiters; 0 disables queueing
+	waiters  []*waiter // undecided waiters, oldest first; len <= maxQueue
 	draining bool
 
 	// Grant-rate window, for the Retry-After a 429 advertises: grants
@@ -112,7 +111,7 @@ func (q *admitQueue) retryAfterSecs() int {
 	if rate <= 0 {
 		return 1
 	}
-	secs := int(math.Ceil(float64(q.queued+1) / rate))
+	secs := int(math.Ceil(float64(len(q.waiters)+1) / rate))
 	if secs < 1 {
 		secs = 1
 	}
@@ -138,13 +137,12 @@ func (q *admitQueue) acquire(ctx context.Context) (code admitCode, wait time.Dur
 		q.mu.Unlock()
 		return admitOK, 0, false
 	}
-	if q.queued >= q.maxQueue {
+	if len(q.waiters) >= q.maxQueue {
 		q.mu.Unlock()
 		return admitQueueFull, 0, false
 	}
 	w := &waiter{grant: make(chan admitCode, 1)}
 	q.waiters = append(q.waiters, w)
-	q.queued++
 	q.mu.Unlock()
 
 	start := time.Now()
@@ -154,9 +152,10 @@ func (q *admitQueue) acquire(ctx context.Context) (code admitCode, wait time.Dur
 	case <-ctx.Done():
 	}
 	// The context died while queued — but a grant may have been decided
-	// concurrently. Settle under the lock: either mark the waiter gone
-	// (release will skip it) or, if a slot was already handed to it, pass
-	// that slot on so it is not leaked.
+	// concurrently. Settle under the lock: either take the waiter out of
+	// the queue (an undecided waiter is still in it: only a decision
+	// removes one) or, if a slot was already handed to it, pass that slot
+	// on so it is not leaked.
 	q.mu.Lock()
 	if w.decided {
 		if w.code == admitOK {
@@ -167,8 +166,8 @@ func (q *admitQueue) acquire(ctx context.Context) (code admitCode, wait time.Dur
 		// request still reports its context outcome (it can no longer use
 		// the slot — its deadline is gone).
 	} else {
-		w.gone = true
-		q.queued--
+		i := slices.Index(q.waiters, w)
+		q.waiters = slices.Delete(q.waiters, i, i+1)
 		q.mu.Unlock()
 	}
 	if ctx.Err() == context.DeadlineExceeded {
@@ -186,20 +185,16 @@ func (q *admitQueue) release() {
 }
 
 func (q *admitQueue) releaseLocked() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters[0] = nil
-		q.waiters = q.waiters[1:]
-		if w.gone {
-			continue // abandoned while queued: skip
-		}
-		w.decided, w.code = true, admitOK
-		q.queued--
-		q.noteGrantLocked()
-		w.grant <- admitOK
+	if len(q.waiters) == 0 {
+		q.free++
 		return
 	}
-	q.free++
+	w := q.waiters[0]
+	q.waiters[0] = nil
+	q.waiters = q.waiters[1:]
+	w.decided, w.code = true, admitOK
+	q.noteGrantLocked()
+	w.grant <- admitOK
 }
 
 // startDrain atomically switches to draining and refuses every queued
@@ -209,11 +204,7 @@ func (q *admitQueue) startDrain() {
 	q.mu.Lock()
 	q.draining = true
 	for _, w := range q.waiters {
-		if w == nil || w.gone || w.decided {
-			continue
-		}
 		w.decided, w.code = true, admitDraining
-		q.queued--
 		w.grant <- admitDraining
 	}
 	q.waiters = nil
@@ -231,7 +222,7 @@ func (q *admitQueue) inFlight() int {
 // depth is the number of requests currently waiting in the queue.
 func (q *admitQueue) depth() int {
 	q.mu.Lock()
-	n := q.queued
+	n := len(q.waiters)
 	q.mu.Unlock()
 	return n
 }

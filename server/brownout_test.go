@@ -176,7 +176,7 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 	for _, tc := range cases {
 		q.mu.Lock()
 		q.lastRate = tc.rate
-		q.queued = tc.queued
+		q.waiters = make([]*waiter, tc.queued)
 		q.grants = 0
 		q.winStart = time.Now()
 		q.mu.Unlock()

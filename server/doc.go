@@ -55,8 +55,7 @@
 //  4. chaos delay — the fault-injection site (Config.Chaos); free when off.
 //  5. batch or submit — a small request (n below the row's coalesceBelow:
 //     /fib n < 18, /loop n < 1 000 000) of a row with a batch kernel joins
-//     the coalescing window, unless it carries an affinity pin; every
-//     other request is a job of its own: the row's attempt submits it —
+//     the coalescing window; every other request is a job of its own: the row's attempt submits it —
 //     the fleet router places it on the least-loaded shard — and waits for
 //     it. elapsed_ns in the reply spans this stage and the next.
 //  6. panic-retry — an attempt (or a whole batch) that fails with a task
@@ -71,8 +70,8 @@
 // The three rows:
 //
 //	row       parse                    attempt                    fill
-//	fib       n, timeout, affinity     fibTask, one job           result == FibSeq(n)
-//	loop      n, timeout, affinity     loopKernel, one job        result == n(n-1)/2
+//	fib       n, timeout               fibTask, one job           result == FibSeq(n)
+//	loop      n, timeout               loopKernel, one job        result == n(n-1)/2
 //	cholesky  n, nb, verify, timeout   cholesky.SubmitKaapi on a  gflops; residual
 //	                                   fresh tile copy            < 1e-10 on verify=1
 //
@@ -193,13 +192,7 @@
 // xkaapi.New(WithShards(n)) runtime) puts several behind the same
 // endpoints: each request's job is placed on the least-loaded scheduler
 // shard, and idle shards steal queued root jobs from loaded siblings, so
-// one heavy endpoint cannot monopolize the pool's locality domain. The
-// workload endpoints accept an affinity=KEY query parameter (a uint64)
-// that pins the request's job to shard KEY mod shards — related requests
-// (one client, one dataset) then share one shard's caches. Affinity
-// requests bypass the coalescing batcher: a batch is one job with one
-// placement, which would silently override every member's pin but the
-// first.
+// one heavy endpoint cannot monopolize the pool's locality domain.
 //
 // On a sharded runtime /stats grows two fields:
 //
@@ -207,8 +200,7 @@
 //	"shard_stats": [
 //	  {"shard": 0, "workers": 2, "inbox_len": 0, "live_roots": 1,
 //	   "stolen_in": 3, "stolen_out": 0,
-//	   "executed": 1234, "spawned": 1230, "cancelled": 0, "parks": 7,
-//	   "unhealthy": false, "health_transitions": 2, "routed_around": 5},
+//	   "executed": 1234, "spawned": 1230, "cancelled": 0, "parks": 7},
 //	  ...
 //	]
 //
@@ -221,20 +213,10 @@
 //
 // # Health & degradation
 //
-// The server degrades deliberately instead of falling over, at two levels.
-//
-// Shard health (the runtime's supervisor, on sharded pools): workers
-// publish a progress epoch, and a shard whose epoch freezes while its
-// inbox holds work — every worker wedged, descheduled, or stuck — is
-// marked unhealthy after a stall threshold (default 400ms;
-// xkaapi.WithShardHealth(stallAfter) sets it). The router places new jobs elsewhere (pinned
-// affinity jobs divert to the next healthy shard), siblings keep pulling
-// the backlog over, and the shard is re-admitted as soon as it makes
-// progress again or is drained and demonstrably responsive. /stats
-// surfaces the episode per shard: "unhealthy" (live flag),
-// "health_transitions" (flips in either direction, so one full
-// trip-and-recover episode counts 2) and "routed_around" (jobs the router
-// diverted away).
+// The server degrades deliberately instead of falling over. A shard whose
+// workers are all stuck in long bodies needs nothing from the server: its
+// load never falls, so the runtime's router places new jobs elsewhere, and
+// the siblings' cross-shard steals drain what it had queued.
 //
 // Endpoint brownout (Config.SLO): a controller samples every endpoint's
 // latency histogram every SLO.Tick (default 250ms) and compares the
@@ -255,7 +237,7 @@
 // is 503 — and /stats mirrors the state ("degraded", "degraded_reasons",
 // per-endpoint "shed").
 //
-// Config.PanicRetries bounds a third mechanism, aimed at transient
+// Config.PanicRetries bounds a second mechanism, aimed at transient
 // crashes: a job that fails with a task panic is resubmitted up to N
 // times while the request's context is still alive (a fresh job, fresh
 // tiles for /cholesky, the whole batch for coalesced endpoints) before
@@ -263,10 +245,9 @@
 // "panic_retried".
 //
 // All of it is exercised by the fault-injection harness (internal/chaos):
-// `xkserve serve -chaos stall+panic+latency+wedge:7 -slo 15ms
-// -panic-retries 20` arms seeded task panics, worker stalls, handler
-// delays and a wall-clock whole-shard wedge behind the scheduler's
-// nil-check fast path, and the integration tier drives exactly that
+// `xkserve serve -chaos stall+panic+latency:7 -slo 15ms
+// -panic-retries 20` arms seeded task panics, worker stalls and handler
+// delays behind the scheduler's nil-check fast path, and the integration tier drives exactly that
 // topology through a full degrade-and-recover episode.
 //
 // # Stats, latency and data races

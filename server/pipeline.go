@@ -57,8 +57,6 @@ type request struct {
 	small   bool          // n < the row's coalesceBelow: the batcher may hold it for partners
 	nb      int           // tile size, for rows that tile (0 elsewhere)
 	verify  bool          // the client asked for the costly result check
-	key     uint64        // affinity pin (see xkaapi.Runtime.SubmitAffinity)
-	hasKey  bool          // whether the query carried one
 	timeout time.Duration // the request's deadline; 0: none
 }
 
@@ -103,12 +101,10 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	// Only small requests join a batch: a full-size one has nothing to
 	// amortize by waiting out the window, and as a batch member it would be
 	// confined to its batch's shard instead of being a root the router places
-	// on the least-loaded one. Affinity requests bypass the batcher too: a
-	// batch is one job with one placement, which would silently override the
-	// pin of every member but the first.
+	// on the least-loaded one.
 	start := time.Now()
 	res, done := result{}, false
-	if ep.batch != nil && rq.small && !rq.hasKey {
+	if ep.batch != nil && rq.small {
 		res, done = ep.batch.do(ctx, rq.n)
 	}
 	if !done {

@@ -55,9 +55,9 @@ func TestEndpointContract(t *testing.T) {
 		bad  []string // each must be a 400
 	}{
 		"fib": {"n=10", "n=20",
-			[]string{"n=31", "n=-1", "n=x", "timeout=bogus", "timeout=-1s", "affinity=-3", "affinity=x"}},
+			[]string{"n=31", "n=-1", "n=x", "timeout=bogus", "timeout=-1s"}},
 		"loop": {"n=1000", "n=40000",
-			[]string{"n=999999999999", "n=60001", "n=-1", "timeout=0", "affinity=1.5"}},
+			[]string{"n=999999999999", "n=60001", "n=-1", "timeout=0"}},
 		"cholesky": {"n=64&nb=32", "n=160&nb=32",
 			[]string{"n=0", "n=257", "n=-4", "n=64&nb=0", "n=64&nb=65", "n=64&nb=x", "timeout=soon"}},
 	}
@@ -258,9 +258,8 @@ func wave(t *testing.T, url string, k int) []reply {
 
 // TestOnlySmallRequestsCoalesce ranges over the kernel rows with a window
 // wide enough that simultaneous requests cannot miss each other, and checks
-// the one fork of the pipeline by its counters: a wave at coalesceBelow and
-// a wave of pinned small requests leave the batcher untouched, a wave just
-// below coalesceBelow rides it.
+// the one fork of the pipeline by its counters: a wave at coalesceBelow
+// leaves the batcher untouched, a wave just below coalesceBelow rides it.
 func TestOnlySmallRequestsCoalesce(t *testing.T) {
 	const clients = 4
 	for _, proto := range builtinRows(Config{}) {
@@ -270,19 +269,14 @@ func TestOnlySmallRequestsCoalesce(t *testing.T) {
 		t.Run(proto.name, func(t *testing.T) {
 			s, ts := newTestServer(t, Config{Budget: 2 * clients, BatchWindow: 100 * time.Millisecond})
 			ep := row(s, proto.name)
-			direct := func(query string) {
-				t.Helper()
-				for _, rep := range wave(t, ts.URL+"/"+ep.name+"?"+query, clients) {
-					if rep.Batch != 0 {
-						t.Errorf("%s: reply carries batch=%d, want a job of its own", query, rep.Batch)
-					}
-				}
-				if b, n := ep.stats.batches.Load(), ep.stats.batched.Load(); b != 0 || n != 0 {
-					t.Errorf("%s: batches=%d batched=%d, want 0: the request must not enter the batcher", query, b, n)
+			for _, rep := range wave(t, fmt.Sprintf("%s/%s?n=%d", ts.URL, ep.name, ep.coalesceBelow), clients) {
+				if rep.Batch != 0 {
+					t.Errorf("n=%d: reply carries batch=%d, want a job of its own", ep.coalesceBelow, rep.Batch)
 				}
 			}
-			direct(fmt.Sprintf("n=%d", ep.coalesceBelow))
-			direct(fmt.Sprintf("n=%d&affinity=1", ep.coalesceBelow-1))
+			if b, n := ep.stats.batches.Load(), ep.stats.batched.Load(); b != 0 || n != 0 {
+				t.Errorf("n=%d: batches=%d batched=%d, want 0: the request must not enter the batcher", ep.coalesceBelow, b, n)
+			}
 
 			riders := 0
 			for _, rep := range wave(t, fmt.Sprintf("%s/%s?n=%d", ts.URL, ep.name, ep.coalesceBelow-1), clients) {
@@ -334,7 +328,7 @@ func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		"", "n=31", "n=-1", "n=x", "timeout=bogus", "n=999999999999", "n=0",
 		"n=17", "n=18", "n=999999", "n=1000000", "n=128&nb=32&verify=1", "n=64&nb=65", "n=10&timeout=40ms", "n=10&timeout=8760h",
-		"n=5&affinity=7", "affinity=-1", "n=%zz", "n=1&n=2;nb", "timeout=-5s&nb=0",
+		"n=5&verify=1", "nb=-1", "n=%zz", "n=1&n=2;nb", "timeout=-5s&nb=0",
 	} {
 		f.Add(seed)
 	}

@@ -467,13 +467,6 @@ type ShardStatsReply struct {
 	Spawned   int64 `json:"spawned"`
 	Cancelled int64 `json:"cancelled"`
 	Parks     int64 `json:"parks"`
-	// Health supervision (see core.Fleet): whether the shard is currently
-	// routed around, how many healthy<->unhealthy transitions it has made
-	// (one full trip-and-recover episode is 2), and how many placements
-	// were diverted away while it was unhealthy.
-	Unhealthy         bool  `json:"unhealthy"`
-	HealthTransitions int64 `json:"health_transitions"`
-	RoutedAround      int64 `json:"routed_around"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -508,10 +501,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Spawned:   ss.Sched.Spawned,
 				Cancelled: ss.Sched.Cancelled,
 				Parks:     ss.Sched.Parks,
-
-				Unhealthy:         ss.Unhealthy,
-				HealthTransitions: ss.HealthTransitions,
-				RoutedAround:      ss.RoutedAround,
 			})
 		}
 	}

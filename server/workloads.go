@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,9 +27,7 @@ import (
 //	deterministic SPD matrix of order N in NB-sized tiles.
 //
 // /fib and /loop have a kernel, so concurrent small requests are coalesced
-// into one batched job when batching is enabled; they accept affinity=K,
-// pinning the job to shard K mod shards of a sharded runtime. /cholesky
-// requests are each a full dataflow job already and are never coalesced.
+// into one batched job when batching is enabled. /cholesky requests are each a full dataflow job already and are never coalesced.
 //
 // Small means n < the row's coalesceBelow: the size at which the kernel alone
 // takes about a third of a millisecond on one worker. From there on a perfect
@@ -117,34 +113,19 @@ func loopKernel(p *xkaapi.Proc, n int, out *int64) {
 }
 
 // parseSmall is parse for the kernel rows: size (and whether it is small
-// enough to coalesce), deadline and the optional affinity parameter, a
-// uint64 key pinning the request's job to one shard of a sharded runtime
-// (see xkaapi.Runtime.SubmitAffinity).
+// enough to coalesce) and deadline.
 func parseSmall(ep *endpoint, q url.Values, ceiling time.Duration) (request, error) {
 	rq, err := parseSize(ep, q, ceiling)
 	rq.small = rq.n < ep.coalesceBelow
-	if v := q.Get("affinity"); err == nil && v != "" {
-		rq.hasKey = true
-		if rq.key, err = strconv.ParseUint(v, 10, 64); err != nil {
-			err = fmt.Errorf("bad affinity %q", v)
-		}
-	}
 	return rq, err
 }
 
 // submitKernel is attempt for every kernel row (newServer sets it, so the
 // direct and the batched path cannot compute different things): the kernel
-// as the body of a job of its own, honouring the affinity pin when the
-// request carries one.
+// as the body of a job of its own.
 func submitKernel(s *Server, ctx context.Context, ep *endpoint, rq request) result {
 	var out int64
-	body := func(p *xkaapi.Proc) { ep.kernel(p, rq.n, &out) }
-	var job *xkaapi.Job
-	if rq.hasKey {
-		job = s.rt.SubmitAffinity(ctx, rq.key, body)
-	} else {
-		job = s.rt.SubmitCtx(ctx, body)
-	}
+	job := s.rt.SubmitCtx(ctx, func(p *xkaapi.Proc) { ep.kernel(p, rq.n, &out) })
 	err := job.Wait()
 	return result{value: out, stats: job.Stats(), err: err}
 }

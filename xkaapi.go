@@ -111,16 +111,16 @@
 //
 // On many-core machines one global pool can become a single contention
 // domain. WithShards splits the runtime into N scheduler shards behind a
-// load-aware router: every Submit lands on the least-loaded shard,
-// SubmitAffinity pins related jobs to one shard for cache locality, and an
+// load-aware router: every Submit lands on the least-loaded shard, and an
 // idle shard's workers steal queued root jobs from loaded siblings so no
-// shard backlogs while another sleeps. The submission API is identical — a
-// Runtime is always a fleet of shards, one by default — and ShardStats
-// exposes the per-shard breakdown:
+// shard backlogs while another sleeps — even one whose workers are all
+// stuck in long bodies. The submission API is identical — a Runtime is
+// always a fleet of shards, one by default — and ShardStats exposes the
+// per-shard breakdown:
 //
 //	rt := xkaapi.New(xkaapi.WithShards(4))
 //	defer rt.Close()
-//	rt.SubmitAffinity(ctx, clientID, handle)
+//	rt.SubmitCtx(ctx, handle)
 //	for _, ss := range rt.ShardStats() {
 //	    log.Printf("shard %d: executed=%d stolen_in=%d", ss.Shard, ss.Sched.Executed, ss.StolenIn)
 //	}
@@ -150,7 +150,6 @@ package xkaapi
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"xkaapi/internal/chaos"
 	"xkaapi/internal/core"
@@ -258,36 +257,21 @@ func WithoutAggregation() Option { return func(c *config) { c.Runtime.NoAggregat
 func WithSeed(seed uint64) Option { return func(c *config) { c.Runtime.Seed = seed } }
 
 // WithShards splits the pool into n runtime shards behind a load-aware
-// router: each submitted job is placed on the least-loaded shard (or the
-// shard its affinity key pins, see Runtime.SubmitAffinity), and idle
+// router: each submitted job is placed on the least-loaded shard, and idle
 // shards' workers pull queued roots from loaded siblings. The default, and
 // any n <= 1, is one shard; a shard needs a worker, so n is clamped to the
 // worker count.
 func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
-// WithShardHealth sets how long a shard may sit on a nonempty inbox without
-// advancing its progress epoch before the router diverts around it; zero
-// keeps the 400ms default. A one-shard runtime has no sibling to divert to
-// and runs no supervisor. Shorter values trade divert latency against false
-// trips on shards that are merely saturated — a tripped shard recovers on
-// its next progress flush, so false trips cost routing quality, not
-// correctness.
-func WithShardHealth(stallAfter time.Duration) Option {
-	return func(c *config) { c.Health.StallAfter = stallAfter }
-}
-
 // ChaosScenario configures deterministic fault injection: seeded
 // probabilities for task-body panics, adaptive-loop chunk panics, forced
-// steal misses, worker stalls, delayed root delivery and a whole-shard
-// wedge window. See NewChaosInjector and WithChaos.
+// steal misses, worker stalls, delayed root delivery and server handler
+// delays. See NewChaosInjector and WithChaos.
 type ChaosScenario = chaos.Scenario
 
 // ChaosPulse is a probabilistic delay (probability + duration) used by the
 // stall and delay sites of a ChaosScenario.
 type ChaosPulse = chaos.Pulse
-
-// ChaosWedge freezes every worker of one shard for a wall-clock window.
-type ChaosWedge = chaos.WedgeSpec
 
 // ChaosInjector evaluates a ChaosScenario; build one with NewChaosInjector
 // or ParseChaos and install it with WithChaos. Safe for concurrent use and
@@ -299,7 +283,7 @@ type ChaosInjector = chaos.Injector
 func NewChaosInjector(sc ChaosScenario) *ChaosInjector { return chaos.New(sc) }
 
 // ParseChaos builds an injector from a scenario spec like "panic+stall:42"
-// (fragments: panic, steal, stall, inbox, latency, wedge, all; the number
+// (fragments: panic, steal, stall, inbox, latency, all; the number
 // after ':' is the seed). Empty spec or "off" yields (nil, nil): disabled.
 func ParseChaos(spec string) (*ChaosInjector, error) { return chaos.Parse(spec) }
 
@@ -397,16 +381,6 @@ func (r *Runtime) Submit(root func(*Proc)) *Job { return r.rt.Submit(root) }
 // completes fails the job with ctx.Err() and stops scheduling its tasks.
 func (r *Runtime) SubmitCtx(ctx context.Context, root func(*Proc)) *Job {
 	return r.rt.SubmitCtx(ctx, root)
-}
-
-// SubmitAffinity is SubmitCtx with a placement hint for sharded runtimes:
-// jobs submitted with the same key are routed to the same shard, so related
-// jobs (one client's requests, one dataset's queries) share that shard's
-// caches. The pin is on placement only — cross-shard stealing still
-// rebalances a backlogged shard. With one shard every key lands on it and
-// SubmitAffinity is exactly SubmitCtx.
-func (r *Runtime) SubmitAffinity(ctx context.Context, key uint64, root func(*Proc)) *Job {
-	return r.rt.SubmitAffinity(ctx, key, root)
 }
 
 // Wait blocks until every job submitted so far has completed and returns
