@@ -16,8 +16,8 @@ set -eu
 echo "== gate: gofmt -l, go vet ./... (make fmt-check vet)"
 make fmt-check vet
 
-# On amd64 the blas micro-kernel is assembly: only a non-amd64 build
-# compiles the portable Go kernel.
+# On amd64 kern is chosen at init between AVX assembly and the portable Go
+# kernel: only a non-amd64 build compiles kernel_generic.go.
 echo "== gate: GOARCH=arm64 go vet ./... (make cross)"
 make cross
 

@@ -85,9 +85,7 @@ func runLoad(args []string) int {
 	fibBurst := fs.Int("fib-burst", 0, "fire N simultaneous /fib requests with no retry (queued-admission SLO probe)")
 	burstSLO := fs.Duration("burst-slo", 5*time.Second, "per-request completion SLO for -fib-burst")
 	burstMinOK := fs.Float64("burst-min-ok", 0.9, "minimum fraction of -fib-burst requests that must answer 200 within the SLO")
-	hotWave := fs.Int("hot-wave", 0, "fire N simultaneous /loop requests in one wave, to drive cross-shard stealing on a sharded server")
-	hotLoop := fs.Int("hot-loop", 1_000_000, "loop iteration count of each -hot-wave request")
-	expectShards := fs.Int("expect-shards", 0, "fail unless /stats reports exactly N shards, every shard executed tasks, and (with -hot-wave) work migrated between shards")
+	expectShards := fs.Int("expect-shards", 0, "fail unless /stats reports exactly N shards, every shard executed tasks, and work migrated between shards")
 	retries := fs.Int("retries", 0, "max retries of a 429, honoring the server's full Retry-After with jitter (0 = the legacy fast poll: unbounded retries at Retry-After/20)")
 	wait := fs.Duration("wait", 10*time.Second, "how long to wait for the server to become healthy")
 	fs.Parse(args)
@@ -113,10 +111,6 @@ func runLoad(args []string) int {
 		if !runFibBurst(*addr, *fibBurst, *fibN, *burstSLO, *burstMinOK, &lt) {
 			return 1
 		}
-	}
-
-	if *hotWave > 0 {
-		runHotWave(*addr, *hotWave, *hotLoop, *retries, &lt)
 	}
 
 	urls := [loadNumKinds]string{
@@ -173,37 +167,12 @@ func runLoad(args []string) int {
 		return 1
 	}
 	if *expectShards > 0 {
-		if !checkShards(*addr, *expectShards, *hotWave > 0) {
+		if !checkShards(*addr, *expectShards) {
 			return 1
 		}
 	}
 	fmt.Println("xkserve load: all completed requests verified")
 	return 0
-}
-
-// runHotWave fires n simultaneous /loop requests in one wave. On a sharded
-// server the router spreads them by load, the shards' inboxes backlog
-// unevenly as their loops finish at different times, and the cross-shard
-// steal path migrates queued roots from the slower shards — visible
-// afterwards as stolen_in/stolen_out in /stats. Responses are verified
-// like any other /loop request (migration must not change results).
-func runHotWave(addr string, n, loopN, retries int, lt *loadTally) {
-	url := fmt.Sprintf("%s/loop?n=%d", addr, loopN)
-	want := int64(loopN) * int64(loopN-1) / 2
-	var wg sync.WaitGroup
-	var release sync.WaitGroup
-	release.Add(1)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			release.Wait() // one simultaneous wave
-			doRequest(url, loadKindLoop, 0, want, false, retries, lt)
-		}()
-	}
-	release.Done()
-	wg.Wait()
-	fmt.Printf("xkserve load: hot wave: %d simultaneous /loop?n=%d requests\n", n, loopN)
 }
 
 // shardStatsReply mirrors the per-shard entries of the server's /stats.
@@ -216,9 +185,8 @@ type shardStatsReply struct {
 
 // checkShards fetches /stats and verifies the sharding actually engaged:
 // the server reports exactly want shards, every shard executed tasks (the
-// router spread the load), and — after a hot wave — at least one root
-// migrated between shards.
-func checkShards(addr string, want int, wantSteals bool) bool {
+// router spread the load), and at least one root migrated between shards.
+func checkShards(addr string, want int) bool {
 	resp, err := http.Get(addr + "/stats")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xkserve load: FAILED: /stats: %v\n", err)
@@ -248,8 +216,8 @@ func checkShards(addr string, want int, wantSteals bool) bool {
 		fmt.Printf("  shard %d: executed=%d stolen_in=%d stolen_out=%d\n",
 			ss.Shard, ss.Executed, ss.StolenIn, ss.StolenOut)
 	}
-	if wantSteals && stolen == 0 {
-		fmt.Fprintln(os.Stderr, "xkserve load: FAILED: hot wave ran but no cross-shard steal was recorded")
+	if stolen == 0 {
+		fmt.Fprintln(os.Stderr, "xkserve load: FAILED: no cross-shard steal was recorded")
 		return false
 	}
 	fmt.Printf("xkserve load: sharding verified: %d shards all executing, %d cross-shard steals\n", want, stolen)

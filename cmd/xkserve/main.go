@@ -18,9 +18,8 @@
 // the runtime's load-aware router (xkaapi.WithShards): requests spread to
 // the least-loaded shard, and idle shards steal queued roots from loaded
 // siblings. /stats then carries a per-shard breakdown (shard_stats), and
-// the load generator can drive and verify it: -hot-wave fires one burst of
-// simultaneous large /loop requests, -expect-shards asserts every shard
-// executed work and (after a wave) that roots migrated between shards.
+// the load generator can verify it: -expect-shards asserts every shard
+// executed work and that roots migrated between shards.
 //
 // Usage:
 //
@@ -32,7 +31,7 @@
 //	xkserve load  [-addr http://127.0.0.1:8080] [-clients 8] [-jobs 60]
 //	              [-fib 22] [-loop 200000] [-chol 192] [-nb 64]
 //	              [-timeout 0] [-burst 0] [-expect-429] [-expect-drain]
-//	              [-hot-wave 0] [-hot-loop 1000000] [-expect-shards 0]
+//	              [-expect-shards 0]
 package main
 
 import (

@@ -19,8 +19,8 @@
 # counters (spawned == executed + cancelled), while the load generator
 # tolerates the drain. Phase 5 runs a second, sharded server (-shards 4):
 # the mixed workload must spread over every shard (non-zero executed per
-# shard in /stats), a hot wave of simultaneous /loop jobs must migrate via
-# cross-shard stealing (stolen_in > 0), and the fleet must drain cleanly on
+# shard in /stats), the same load must migrate roots via cross-shard
+# stealing (stolen_in > 0), and the fleet must drain cleanly on
 # SIGTERM with the aggregate counters balanced. Phase 6 is the chaos
 # exercise: a third 4-shard server runs with seeded fault injection armed
 # (worker stalls, task/loop panics, 20ms handler delays), a p99 SLO that
@@ -182,15 +182,12 @@ grep -q "drained cleanly" "$SERVE_LOG"
 echo "== integration: sharded server (-shards 4): placement spreads, overload migrates"
 "$BIN" serve -addr "$ADDR2" -shards 4 -workers 8 -budget 32 -timeout 30s >"$SERVE2_LOG" 2>&1 &
 SERVE2_PID=$!
-# Mixed load spreads across shards via least-load routing; the hot wave
-# then fires 24 simultaneous /loop jobs, which the router spreads by load
-# over the four 2-worker shards: whichever shards finish their share first
-# pull the others' queued roots over. -expect-shards 4 fails the load run
-# unless /stats shows 4 shards, every shard executing, and at least one
-# cross-shard steal.
+# Mixed load spreads across shards via least-load routing, and whichever
+# of the four 2-worker shards runs dry first pulls the others' queued roots
+# over. -expect-shards 4 fails the load run unless /stats shows 4 shards,
+# every shard executing, and at least one cross-shard steal.
 "$BIN" load -addr "http://$ADDR2" -clients 8 -jobs 24 \
-	-fib 20 -loop 100000 -chol 128 -nb 32 \
-	-hot-wave 24 -hot-loop 1000000 -expect-shards 4
+	-fib 20 -loop 100000 -chol 128 -nb 32 -expect-shards 4
 kill -TERM "$SERVE2_PID"
 SERVE2_STATUS=0
 wait "$SERVE2_PID" || SERVE2_STATUS=$?

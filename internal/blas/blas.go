@@ -20,17 +20,19 @@
 //
 // The micro-kernel exists twice, with identical bits: in portable Go
 // (kernGo, kernel.go), which is kern on every GOARCH but amd64
-// (kernel_generic.go), and in SSE2 assembly (kernel_amd64.s), which is kern
-// on amd64. SSE2 is the amd64 baseline, so there is no CPU detection. The
-// assembly holds two of the eight sums in each register and does, lane by
-// lane, the multiplies, adds and final subtractions of the Go code in the
-// same order, so on amd64 the two agree bit for bit (TestKernBitwise
-// checks it, NaN, ±Inf, ±0 and subnormals included). Across GOARCHes no
-// bits are promised: on arm64, ppc64 and s390x the Go compiler may fuse a
-// multiply and an add into one FMA. The GOARCH is the only selection —
-// there is no option, flag, build tag or environment variable — so every
-// caller of a kernel gets bitwise-identical results for identical inputs,
-// whichever scheduler made the call.
+// (kernel_generic.go) and on an amd64 CPU without AVX, and in AVX assembly
+// (kernel_amd64.s), which is kern on an amd64 CPU with AVX. The choice is
+// made once, at package init, from CPUID and XGETBV (kernel_amd64.go). The
+// assembly holds four of the eight sums in each 256-bit register and does,
+// lane by lane, the multiplies, adds and final subtractions of the Go code
+// in the same order, with no fused multiply-add, so on amd64 the two agree
+// bit for bit (TestKernBitwise checks it, NaN, ±Inf, ±0 and subnormals
+// included). Across GOARCHes no bits are promised: on arm64, ppc64 and
+// s390x the Go compiler may fuse a multiply and an add into one FMA. The
+// GOARCH and the CPU are the only selection — there is no option, flag,
+// build tag or environment variable — so every caller of a kernel gets
+// bitwise-identical results for identical inputs, whichever scheduler
+// made the call.
 //
 // What a micro-block does not cover takes a scalar dot-product path: the
 // m%2 last row and n%4 last columns of GemmNT, the rows and columns of

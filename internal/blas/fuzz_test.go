@@ -146,8 +146,9 @@ func kernOperand(rng *xrand.Rand, special bool) float64 {
 	return math.Copysign(math.Float64frombits(1+rng.Next()%(1<<52-1)), v)
 }
 
-// kern (on amd64 the SSE2 kernel) must equal kernGo bit for bit, C's
-// padding included, for every k up to 200 and with special operands.
+// kern (on an amd64 CPU with AVX the assembly kernel) must equal kernGo
+// bit for bit, C's padding included, for every k up to 200 and with
+// special operands.
 func TestKernBitwise(t *testing.T) {
 	rng := xrand.New(17)
 	for k := 1; k <= 200; k++ {

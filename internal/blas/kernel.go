@@ -19,10 +19,10 @@ const (
 // B mr, so a multiply-add costs 0.75 loads where a row-by-row dot product
 // pays 2.
 //
-// kern is this function on every GOARCH but amd64 (kernel_generic.go). On
-// amd64 kern is the SSE2 version in kernel_amd64.s, which performs the same
-// operations in the same order and so produces the same bits; kernGo is then
-// its oracle in the tests.
+// kern is this function on every GOARCH but amd64 (kernel_generic.go) and
+// on an amd64 CPU without AVX. With AVX kern is the assembly in
+// kernel_amd64.s, which performs the same operations in the same order and
+// so produces the same bits; kernGo is then its oracle in the tests.
 func kernGo(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	a0, a1 := a[:k], a[lda:lda+k]
 	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]

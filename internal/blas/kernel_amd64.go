@@ -3,29 +3,72 @@
 
 package blas
 
+// useAVX selects kernAVX over kernGo. It is decided once, when the package
+// is initialised, from what the CPU and the OS report.
+var useAVX = hasAVX()
+
 // kern is the micro-kernel, C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
-// (see kernGo), run by kernSSE2. It first takes the slices kernGo takes, so
-// an operand too short for the block panics with kernGo's index error
-// before any element is read or written.
+// (see kernGo), run by kernAVX where the CPU has AVX and by kernGo where it
+// does not. It first takes the slices kernGo takes, so an operand too short
+// for the block panics with kernGo's index error before any element is
+// read or written.
 func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if !useAVX {
+		kernGo(k, a, lda, b, ldb, c, ldc)
+		return
+	}
 	a0, a1 := a[:k], a[lda:lda+k]
 	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
 	c0, c1 := c[:nr], c[ldc:ldc+nr]
 	// With k = 0 kernGo subtracts +0 from C, which leaves every bit of it
 	// as it was.
 	if k > 0 {
-		kernSSE2(k, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], &c0[0], &c1[0])
+		kernAVX(k, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], &c0[0], &c1[0])
 	}
 }
 
-// kernSSE2 is kernGo's loop and update on two-lane SSE2 registers, the
-// amd64 baseline. Lane pair (s00, s01) is a0[t] broadcast times
-// (b0[t], b1[t]), and so on for the other three pairs: every lane does the
-// multiply and the add one line of kernGo does, with the sums taken in
-// k order from +0, and C is updated with one subtraction per element.
-// The results are therefore kernGo's, bit for bit. a0 and a1 point at the
-// k elements of A's two rows, b0…b3 at B's four, c0 and c1 at C's two rows
-// of nr; k must be positive.
+// kernAVX is kernGo's loop and update on four-lane AVX registers. Lane j
+// of the first sum register is s0j, a0[t] broadcast times (b0[t], b1[t],
+// b2[t], b3[t]) added in, and the second register is the same for a1: every
+// lane does the multiply and the add one line of kernGo does, with no
+// fused multiply-add, the sums taken in k order from +0, and C updated with
+// one subtraction per element. The results are therefore kernGo's, bit for
+// bit. a0 and a1 point at the k elements of A's two rows, b0…b3 at B's
+// four, c0 and c1 at C's two rows of nr; k must be positive.
 //
 //go:noescape
-func kernSSE2(k int, a0, a1, b0, b1, b2, b3, c0, c1 *float64)
+func kernAVX(k int, a0, a1, b0, b1, b2, b3, c0, c1 *float64)
+
+// CPUID leaf 1 ECX and XCR0 bits that together say AVX can be used: the
+// CPU has it, the OS saves registers with XSAVE, and XSAVE covers both the
+// XMM and the upper YMM halves.
+const (
+	cpuidOSXSAVE = 1 << 27
+	cpuidAVX     = 1 << 28
+	xcr0SSE      = 1 << 1
+	xcr0AVX      = 1 << 2
+)
+
+// avxUsable is the decision on the bits: ecx is CPUID leaf 1's ECX, xcr0
+// the low word of XGETBV(0), which is only read when ecx has OSXSAVE.
+func avxUsable(ecx, xcr0 uint32) bool {
+	return ecx&(cpuidOSXSAVE|cpuidAVX) == cpuidOSXSAVE|cpuidAVX &&
+		xcr0&(xcr0SSE|xcr0AVX) == xcr0SSE|xcr0AVX
+}
+
+// hasAVX reads the bits avxUsable decides on.
+func hasAVX() bool {
+	ecx := cpuid1ECX()
+	var xcr0 uint32
+	if ecx&cpuidOSXSAVE != 0 {
+		xcr0 = xgetbv0()
+	}
+	return avxUsable(ecx, xcr0)
+}
+
+// cpuid1ECX returns ECX of CPUID leaf 1.
+func cpuid1ECX() uint32
+
+// xgetbv0 returns the low word of XCR0; the CPU faults on it unless CPUID
+// reports OSXSAVE.
+func xgetbv0() uint32

@@ -17,13 +17,13 @@
 //
 // All four run the same four blas kernels on the same tiles, so measured
 // differences are scheduling, exactly as in the paper: internal/blas has
-// one micro-kernel per GOARCH — on amd64 SSE2 assembly with the bits of
-// the portable Go kernel, elsewhere that Go kernel — and no way to select
-// another, so every scheduler's factor is bitwise the sequential one. What a faster
+// one micro-kernel per machine — on an amd64 CPU with AVX assembly with
+// the bits of the portable Go kernel, elsewhere that Go kernel, chosen
+// once at start-up from CPUID — and no way to select another, so every
+// scheduler's factor is bitwise the sequential one. What a faster
 // micro-kernel changes is the grain the schedulers are compared at: a
-// 128×128 gemm task takes well under half of what it took as row-by-row
-// dot products, so a scheduler's per-task cost is that much more of the
-// solve.
+// 128×128 gemm task takes well under a third of what it took as row-by-row dot
+// products, so a scheduler's per-task cost is that much more of the solve.
 package cholesky
 
 import (

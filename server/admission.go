@@ -57,12 +57,13 @@ type admitQueue struct {
 
 	// Grant-rate window, for the Retry-After a 429 advertises: grants
 	// counts slots handed out (fast path and queue handoff alike) since
-	// winStart; when a window of grantWindow completes, its rate is rolled
-	// into lastRate. The rate is how fast the queue actually drains, so
-	// ceil(queue/rate) is an honest time-to-a-free-slot estimate instead of
-	// the old hardcoded 1.
+	// winStart, the last at lastAt past it; when a window of grantWindow
+	// completes, its rate is rolled into lastRate. The rate is how fast
+	// the queue actually drains, so ceil(queue/rate) is an honest
+	// time-to-a-free-slot estimate instead of the old hardcoded 1.
 	grants   int
 	winStart time.Time
+	lastAt   time.Duration
 	lastRate float64 // grants per second over the last completed window
 }
 
@@ -77,26 +78,36 @@ const (
 )
 
 func newAdmitQueue(budget, maxQueue int) *admitQueue {
-	return &admitQueue{free: budget, budget: budget, maxQueue: maxQueue, winStart: time.Now()}
+	return &admitQueue{free: budget, budget: budget, maxQueue: maxQueue}
 }
 
 // noteGrantLocked records one slot grant in the rate window, rotating the
-// window when it is full. Caller holds q.mu.
+// window when it is full. A window opens at its first grant, and its rate
+// covers only the time in which its grants happened: from that grant to
+// its last. A window whose last grant is a whole window old ends in an
+// idle stretch and carries no rate, so a burst after a quiet spell is not
+// told that the server drains a few grants a minute. Caller holds q.mu.
 func (q *admitQueue) noteGrantLocked() {
-	if e := time.Since(q.winStart); e >= grantWindow {
-		q.lastRate = float64(q.grants) / e.Seconds()
+	e := time.Since(q.winStart)
+	if q.grants == 0 || e >= grantWindow {
+		q.lastRate = 0
+		if q.grants > 1 && e-q.lastAt < grantWindow {
+			q.lastRate = float64(q.grants-1) / q.lastAt.Seconds()
+		}
 		q.grants = 0
 		q.winStart = time.Now()
+		e = 0
 	}
 	q.grants++
+	q.lastAt = e
 }
 
 // retryAfterSecs derives the Retry-After a 429 should advertise from the
 // observed grant rate: the seconds until the current backlog (every queued
 // waiter, plus the retrying request itself) drains at that rate, rounded
-// up and clamped to [1, maxRetryAfterSecs]. With no observed grants yet
-// (a stampede onto a cold server) it falls back to 1 second, the old
-// hardcoded value.
+// up and clamped to [1, maxRetryAfterSecs]. With no observed rate (a
+// stampede onto a cold or long-idle server) it falls back to 1 second, the
+// old hardcoded value.
 func (q *admitQueue) retryAfterSecs() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
