@@ -12,9 +12,11 @@ test:
 # the fault-injection harness (internal/chaos), the parallel algorithms
 # that hammer it, the HTTP front-end, the public facade, and every paradigm
 # layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark),
-# and the figure table that drives every paradigm at once (internal/figs).
-# -short keeps the stress tests at their trimmed sizes.
-RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs
+# the figure table that drives every paradigm at once (internal/figs), and
+# the tile kernels (internal/blas), whose bitwise kernel checks must hold in
+# the race build too, where the compiler orders commutative operands
+# differently. -short keeps the stress tests at their trimmed sizes.
+RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs ./internal/blas
 .PHONY: race
 race:
 	$(GO) test -race -short $(RACE_PKGS)
@@ -25,14 +27,14 @@ race:
 # tier races router placement, cross-shard stealing under imbalance and
 # behind a frozen shard, and the fleet-wide drain/submit-storm critical
 # section. The chaos tier replays seeded fault injection: the paradigm
-# sweep over a chaotic pool, brownout and panic retries; its seeds are
-# fixed, so a failure replays deterministically.
+# sweep over a chaotic pool and panic retries; its seeds are fixed, so a
+# failure replays deterministically.
 .PHONY: race-stress
 race-stress:
 	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
 	$(GO) test -race -run 'TestFleet' -count=2 ./internal/core
 	$(GO) test -race -count=1 ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestChaos|TestBrownout|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
+	$(GO) test -race -count=1 -run 'TestChaos|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
 
 .PHONY: vet
 vet:

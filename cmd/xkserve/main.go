@@ -24,10 +24,8 @@
 // Usage:
 //
 //	xkserve serve [-addr :8080] [-workers N] [-shards S] [-budget B]
-//	              [-timeout 30s] [-drain-timeout 30s] [-max-fib 40]
-//	              [-max-loop 50000000] [-max-chol 2048] [-queue 0]
-//	              [-batch-window 0] [-chaos spec] [-slo 0]
-//	              [-panic-retries 0]
+//	              [-queue 0] [-batch-window 0] [-timeout 30s]
+//	              [-drain-timeout 30s] [-chaos spec] [-panic-retries 0]
 //	xkserve load  [-addr http://127.0.0.1:8080] [-clients 8] [-jobs 60]
 //	              [-fib 22] [-loop 200000] [-chol 192] [-nb 64]
 //	              [-timeout 0] [-burst 0] [-expect-429] [-expect-drain]

@@ -29,11 +29,7 @@ func runServe(args []string) int {
 	batchWindow := fs.Duration("batch-window", 0, "coalescing window for small requests (/fib n < 18, /loop n < 1000000; larger ones never wait): concurrent ones within it, at most 8, are folded into one batched job (0 = 500µs default, which an idle process rounds up to about 1ms; -1ns = no batching)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-	maxFib := fs.Int("max-fib", 0, "cap on fib request size (0 = default)")
-	maxLoop := fs.Int("max-loop", 0, "cap on loop request size (0 = default)")
-	maxChol := fs.Int("max-chol", 0, "cap on cholesky request order (0 = default)")
-	chaosSpec := fs.String("chaos", "", "fault-injection scenario: named fragments joined with '+', optional ':<seed>' (panic, steal, stall, inbox, latency, all; e.g. stall+panic:7); empty = disabled")
-	sloP99 := fs.Duration("slo", 0, "p99 latency SLO, applied to every endpoint: past it the brownout controller degrades gracefully (sheds oversized requests, widens batch windows, /healthz reports degraded); 0 = disabled")
+	chaosSpec := fs.String("chaos", "", "scheduler fault-injection scenario: named fragments joined with '+', optional ':<seed>' (panic, steal, stall, inbox, all; e.g. stall+panic:7); empty = disabled")
 	panicRetries := fs.Int("panic-retries", 0, "times a request's job is resubmitted after failing with a task panic (0 = a panic is a 500)")
 	fs.Parse(args)
 
@@ -47,8 +43,6 @@ func runServe(args []string) int {
 		rtOpts = append(rtOpts, xkaapi.WithShards(*shards))
 	}
 	if inj != nil {
-		// One injector drives the whole stack: the scheduler sites through
-		// the runtime, the handler-latency site through the server config.
 		rtOpts = append(rtOpts, xkaapi.WithChaos(inj))
 	}
 	rt := xkaapi.New(rtOpts...)
@@ -58,12 +52,7 @@ func runServe(args []string) int {
 		QueueDepth:     *queue,
 		BatchWindow:    *batchWindow,
 		DefaultTimeout: *timeout,
-		MaxFib:         *maxFib,
-		MaxLoop:        *maxLoop,
-		MaxChol:        *maxChol,
-		SLO:            server.SLO{P99: *sloP99},
 		PanicRetries:   *panicRetries,
-		Chaos:          inj,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

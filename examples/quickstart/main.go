@@ -167,7 +167,7 @@ func main() {
 	// 6. Serving jobs over HTTP. Package server wraps the same runtime in
 	// a network front-end: requests become SubmitCtx jobs bound to the
 	// request context (deadlines and client disconnects cancel the job).
-	// Every endpoint is a row of one request pipeline (parse, shed, admit,
+	// Every endpoint is a row of one request pipeline (parse, admit,
 	// batch or submit, panic-retry, finish, reply): a bounded budget of
 	// in-flight jobs fronted by a FIFO queue where over-budget requests
 	// wait under their own deadline — 429 only when the queue itself is
@@ -178,11 +178,11 @@ func main() {
 	// larger (the /fib?n=20 below) has nothing to amortize and is submitted
 	// at once as a job of its own. The 500µs default window holds a lone
 	// small request ≈ 1 ms in an idle process: Go's netpoller rounds a
-	// sub-millisecond timer sleep up. Config.SLO.P99 is the one latency
-	// target the brownout controller holds every endpoint to. /stats publishes
-	// p50/p90/p99 end-to-end and queue-wait latency per endpoint, and
-	// per-job stats come back in every response. `xkserve serve` runs this
-	// at the command line; here we mount it in-process.
+	// sub-millisecond timer sleep up. Bounded admission is the one overload
+	// policy: nothing is shed by size. /stats publishes p50/p90/p99
+	// end-to-end and queue-wait latency per endpoint, and per-job stats
+	// come back in every response. `xkserve serve` runs this at the
+	// command line; here we mount it in-process.
 	front := server.New(server.Config{Runtime: rt, Budget: 4})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -267,9 +267,9 @@ func main() {
 	// failing run replays from its seed. A job hit by an injected panic
 	// fails alone with a PanicError, exactly like the real panic of
 	// section 5; the pool survives, and Counts reports what actually
-	// fired. `xkserve serve -chaos stall+panic:7 -panic-retries 8` drives
-	// the same harness through the HTTP front-end, which then resubmits
-	// panicked jobs server-side and reports degradation on /healthz.
+	// fired. `xkserve serve -chaos stall+panic:7 -panic-retries 8` arms
+	// the same harness under the HTTP front-end, which then resubmits
+	// panicked jobs server-side.
 	inj := xkaapi.NewChaosInjector(xkaapi.ChaosScenario{Seed: 7, TaskPanic: 0.002})
 	crt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithChaos(inj))
 	survived, injected := 0, 0

@@ -22,13 +22,11 @@
 # shard in /stats), the same load must migrate roots via cross-shard
 # stealing (stolen_in > 0), and the fleet must drain cleanly on
 # SIGTERM with the aggregate counters balanced. Phase 6 is the chaos
-# exercise: a third 4-shard server runs with seeded fault injection armed
-# (worker stalls, task/loop panics, 20ms handler delays), a p99 SLO that
-# the injected latency must violate, and a panic-retry budget that must
-# absorb every injected crash. Under a sustained mixed load every response
-# must still verify (zero 500s), /healthz must be observed degraded and
-# recover to ok, and the SIGTERM drain must balance with nonzero
-# task_panics in the chaos exit report.
+# exercise: a third 4-shard server runs with seeded scheduler fault
+# injection armed (worker stalls, task/loop panics) and a panic-retry
+# budget that must absorb every injected crash. Under a sustained mixed
+# load every response must still verify (zero 500s), and the SIGTERM drain
+# must balance with nonzero task_panics in the chaos exit report.
 set -eu
 
 ADDR=127.0.0.1:18097
@@ -40,7 +38,6 @@ SERVE2_LOG="${TMPDIR:-/tmp}/xkserve-ci-serve2.log"
 SERVE3_LOG="${TMPDIR:-/tmp}/xkserve-ci-serve3.log"
 LOAD_LOG="${TMPDIR:-/tmp}/xkserve-ci-load.log"
 LOAD3_LOG="${TMPDIR:-/tmp}/xkserve-ci-load3.log"
-HEALTH_LOG="${TMPDIR:-/tmp}/xkserve-ci-health.log"
 WAVE_DIR="${TMPDIR:-/tmp}/xkserve-ci-wave"
 
 go build -o "$BIN" ./cmd/xkserve
@@ -49,8 +46,7 @@ go build -o "$BIN" ./cmd/xkserve
 SERVE_PID=$!
 SERVE2_PID=
 SERVE3_PID=
-HEALTH_PID=
-trap 'kill "$SERVE_PID" $SERVE2_PID $SERVE3_PID $HEALTH_PID 2>/dev/null || true; rm -rf "$WAVE_DIR"' EXIT
+trap 'kill "$SERVE_PID" $SERVE2_PID $SERVE3_PID 2>/dev/null || true; rm -rf "$WAVE_DIR"' EXIT
 
 # Budget 4, queue 16 (the 4x default): a cholesky burst of 24 overflows
 # both (4 running + 16 queued) and must see 429s for the remainder — as
@@ -200,25 +196,15 @@ grep -q "drained cleanly" "$SERVE2_LOG"
 # The per-shard exit report must be present and name every shard.
 grep -q "shard 3/4" "$SERVE2_LOG"
 
-echo "== integration: chaos: injected faults, graceful degradation"
-# Full scenario, fixed seed: worker stalls, task/loop panics (absorbed by
-# -panic-retries so the answer stream stays clean) and 20ms handler delays
-# that must push the 15ms SLO into brownout. Request sizes stay small so
-# the per-attempt panic probability times the retry budget keeps the
+echo "== integration: chaos: injected scheduler faults, zero 500s"
+# Fixed seed: worker stalls and task/loop panics, absorbed by
+# -panic-retries so the answer stream stays clean. Request sizes stay small
+# so the per-attempt panic probability times the retry budget keeps the
 # failure odds negligible: the load run verifies every response, so a
 # single 500 fails the phase.
 "$BIN" serve -addr "$ADDR3" -shards 4 -workers 8 -budget 128 -timeout 30s \
-	-chaos stall+panic+latency:7 -panic-retries 20 -slo 15ms >"$SERVE3_LOG" 2>&1 &
+	-chaos stall+panic:7 -panic-retries 20 >"$SERVE3_LOG" 2>&1 &
 SERVE3_PID=$!
-: >"$HEALTH_LOG"
-(
-	while :; do
-		curl -s "http://$ADDR3/healthz" >>"$HEALTH_LOG" 2>/dev/null || true
-		printf '\n' >>"$HEALTH_LOG"
-		sleep 0.05
-	done
-) &
-HEALTH_PID=$!
 "$BIN" load -addr "http://$ADDR3" -clients 12 -jobs 400 \
 	-fib 6 -loop 3000000 -chol 64 -nb 32 -retries 3 >"$LOAD3_LOG" 2>&1 || {
 	echo "integration: chaos load failed (an injected fault leaked into a response?):" >&2
@@ -227,29 +213,6 @@ HEALTH_PID=$!
 	exit 1
 }
 cat "$LOAD3_LOG"
-if ! grep -q '^degraded' "$HEALTH_LOG"; then
-	echo "integration: /healthz never reported degraded under injected latency" >&2
-	exit 1
-fi
-# With the load gone the brownout windows clear and /healthz must recover
-# to ok (three consecutive good windows) before the drain.
-OK_SEEN=0
-i=0
-while [ "$i" -lt 100 ]; do
-	if curl -s "http://$ADDR3/healthz" | grep -q '^ok'; then
-		OK_SEEN=1
-		break
-	fi
-	i=$((i + 1))
-	sleep 0.1
-done
-kill "$HEALTH_PID" 2>/dev/null || true
-wait "$HEALTH_PID" 2>/dev/null || true
-HEALTH_PID=
-if [ "$OK_SEEN" -ne 1 ]; then
-	echo "integration: /healthz did not recover to ok after the chaos load" >&2
-	exit 1
-fi
 kill -TERM "$SERVE3_PID"
 SERVE3_STATUS=0
 wait "$SERVE3_PID" || SERVE3_STATUS=$?
@@ -267,5 +230,5 @@ if grep -q "task_panics=0 " "$SERVE3_LOG"; then
 	exit 1
 fi
 
-rm -f "$SERVE_LOG" "$SERVE2_LOG" "$SERVE3_LOG" "$LOAD_LOG" "$LOAD3_LOG" "$HEALTH_LOG" "$BIN"
+rm -f "$SERVE_LOG" "$SERVE2_LOG" "$SERVE3_LOG" "$LOAD_LOG" "$LOAD3_LOG" "$BIN"
 echo "integration OK"

@@ -1,7 +1,6 @@
 // Package chaos is the runtime's deterministic fault-injection harness.
 //
-// An *Injector is compiled into the scheduler and the HTTP front-end behind
-// a nil-check fast path: a pool built without one pays a single predictable
+// An *Injector is compiled into the scheduler behind a nil-check fast path: a pool built without one pays a single predictable
 // branch per injection site, nothing else. With an injector installed, each
 // site draws a decision from a seeded hash stream (internal/xrand mixing, no
 // locks, no allocation), so a failing run replays from its seed: the n-th
@@ -23,8 +22,6 @@
 //   - worker stall: a worker pauses before its next scheduling round
 //   - inbox delay: delivery of a submitted root into the shard inbox is
 //     deferred
-//   - handler delay: a server handler sleeps after admission, holding its
-//     budget slot
 //
 // Scenarios come from a Scenario struct (tests) or from Parse
 // ("panic+stall:42", the -chaos flag of xkserve serve).
@@ -48,7 +45,6 @@ const (
 	SiteStealFail
 	SiteWorkerStall
 	SiteInboxDelay
-	SiteHandlerDelay
 	numSites
 )
 
@@ -65,8 +61,6 @@ func (s Site) String() string {
 		return "worker_stalls"
 	case SiteInboxDelay:
 		return "inbox_delays"
-	case SiteHandlerDelay:
-		return "handler_delays"
 	}
 	return "unknown"
 }
@@ -94,8 +88,6 @@ type Scenario struct {
 	WorkerStall Pulse
 	// InboxDelay defers delivery of a submitted root into its shard inbox.
 	InboxDelay Pulse
-	// HandlerDelay makes a server handler sleep after admission.
-	HandlerDelay Pulse
 }
 
 // site is one injection point's state: a decision sequence number and a hit
@@ -208,43 +200,31 @@ func (in *Injector) InboxDelay() time.Duration {
 	return in.sc.InboxDelay.For
 }
 
-// HandlerDelay returns how long the next admitted server handler should
-// sleep (0: no delay).
-func (in *Injector) HandlerDelay() time.Duration {
-	if !in.decide(SiteHandlerDelay, in.sc.HandlerDelay.Prob) {
-		return 0
-	}
-	return in.sc.HandlerDelay.For
-}
-
 // Counts is a snapshot of how many times each site actually fired.
 type Counts struct {
-	TaskPanics    uint64
-	LoopPanics    uint64
-	StealFails    uint64
-	WorkerStalls  uint64
-	InboxDelays   uint64
-	HandlerDelays uint64
+	TaskPanics   uint64
+	LoopPanics   uint64
+	StealFails   uint64
+	WorkerStalls uint64
+	InboxDelays  uint64
 }
 
 // Counts snapshots the per-site injection counters.
 func (in *Injector) Counts() Counts {
 	return Counts{
-		TaskPanics:    in.sites[SiteTaskPanic].hits.Load(),
-		LoopPanics:    in.sites[SiteLoopPanic].hits.Load(),
-		StealFails:    in.sites[SiteStealFail].hits.Load(),
-		WorkerStalls:  in.sites[SiteWorkerStall].hits.Load(),
-		InboxDelays:   in.sites[SiteInboxDelay].hits.Load(),
-		HandlerDelays: in.sites[SiteHandlerDelay].hits.Load(),
+		TaskPanics:   in.sites[SiteTaskPanic].hits.Load(),
+		LoopPanics:   in.sites[SiteLoopPanic].hits.Load(),
+		StealFails:   in.sites[SiteStealFail].hits.Load(),
+		WorkerStalls: in.sites[SiteWorkerStall].hits.Load(),
+		InboxDelays:  in.sites[SiteInboxDelay].hits.Load(),
 	}
 }
 
 // String renders the counters as the one-line report serve prints at exit.
 func (c Counts) String() string {
 	return fmt.Sprintf(
-		"task_panics=%d loop_panics=%d steal_fails=%d worker_stalls=%d inbox_delays=%d handler_delays=%d",
-		c.TaskPanics, c.LoopPanics, c.StealFails, c.WorkerStalls,
-		c.InboxDelays, c.HandlerDelays)
+		"task_panics=%d loop_panics=%d steal_fails=%d worker_stalls=%d inbox_delays=%d",
+		c.TaskPanics, c.LoopPanics, c.StealFails, c.WorkerStalls, c.InboxDelays)
 }
 
 // Named scenario fragments for Parse. Probabilities are tuned for a loaded
@@ -255,9 +235,6 @@ var fragments = map[string]func(*Scenario){
 	"steal": func(sc *Scenario) { sc.StealFail = 0.2 },
 	"stall": func(sc *Scenario) { sc.WorkerStall = Pulse{Prob: 0.002, For: 5 * time.Millisecond} },
 	"inbox": func(sc *Scenario) { sc.InboxDelay = Pulse{Prob: 0.05, For: 2 * time.Millisecond} },
-	"latency": func(sc *Scenario) {
-		sc.HandlerDelay = Pulse{Prob: 0.10, For: 20 * time.Millisecond}
-	},
 }
 
 // Parse builds an injector from a -chaos flag value: one or more named
@@ -293,7 +270,7 @@ func Parse(spec string) (*Injector, error) {
 		}
 		f, ok := fragments[name]
 		if !ok {
-			return nil, fmt.Errorf("chaos: unknown scenario %q (have panic, steal, stall, inbox, latency, all)", name)
+			return nil, fmt.Errorf("chaos: unknown scenario %q (have panic, steal, stall, inbox, all)", name)
 		}
 		f(&sc)
 	}

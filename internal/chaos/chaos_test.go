@@ -133,7 +133,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("default seed = %d, want 1", sc.Seed)
 	}
 	if sc.TaskPanic == 0 || sc.StealFail == 0 || sc.WorkerStall.Prob == 0 ||
-		sc.InboxDelay.Prob == 0 || sc.HandlerDelay.Prob == 0 {
+		sc.InboxDelay.Prob == 0 {
 		t.Fatalf("all left a site unset: %+v", sc)
 	}
 	if _, err := Parse("gremlins:1"); err == nil {
@@ -154,9 +154,9 @@ func TestParse(t *testing.T) {
 func FuzzChaosParse(f *testing.F) {
 	for _, spec := range []string{
 		"", "off", " off ", "all", "all:3", "panic:42", "panic+stall:42", "stall+panic:7",
-		"stall+panic+latency:7", "steal+inbox", " steal + inbox :9", "panic+panic+all",
+		"stall+panic+inbox:7", "steal+inbox", " steal + inbox :9", "panic+panic+all",
 		"gremlins:1", "panic:banana", "panic:", ":5", "+", "panic+", "panic:-1", "panic:0",
-		"all:18446744073709551615", "all:18446744073709551616", "latency:1:2",
+		"all:18446744073709551615", "all:18446744073709551616", "inbox:1:2",
 	} {
 		f.Add(spec)
 	}

@@ -1,6 +1,6 @@
 // Package latency is a lock-free HDR-style latency histogram: fixed
 // power-of-two buckets refined by linear sub-buckets, atomic counts, and
-// mergeable snapshots. One Histogram costs a few KB and Record is a single
+// plain-value snapshots. One Histogram costs a few KB and Record is a single
 // atomic add, so the server keeps one per (endpoint, phase) — end-to-end
 // and queue-wait — and /stats summarizes them as p50/p90/p99 without ever
 // locking a request path.
@@ -89,40 +89,11 @@ func (h *Histogram) Snapshot() *Snapshot {
 }
 
 // Snapshot is one histogram's counts, detached from the atomics: plain
-// values, so it can be merged, quantiled and marshalled freely.
+// values, so it can be quantiled and marshalled freely.
 type Snapshot struct {
 	Counts [numBuckets]uint64
 	Total  uint64
 	Sum    int64
-}
-
-// Merge folds o into s (bucket-wise addition), so per-shard or
-// per-endpoint histograms aggregate into fleet views.
-func (s *Snapshot) Merge(o *Snapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Total += o.Total
-	s.Sum += o.Sum
-}
-
-// Sub returns the bucket-wise difference s - o: the observations recorded
-// between two snapshots of one histogram. Counts only grow, so with o the
-// earlier snapshot the difference is itself a valid snapshot — the windowed
-// view a latency controller needs from cumulative histograms. Buckets are
-// clamped at zero against the per-bucket skew of non-atomic snapshots.
-func (s *Snapshot) Sub(o *Snapshot) *Snapshot {
-	d := &Snapshot{}
-	for i := range s.Counts {
-		if c := s.Counts[i]; c > o.Counts[i] {
-			d.Counts[i] = c - o.Counts[i]
-			d.Total += d.Counts[i]
-		}
-	}
-	if s.Sum > o.Sum {
-		d.Sum = s.Sum - o.Sum
-	}
-	return d
 }
 
 // Quantile returns the value at quantile q in [0, 1]: the upper bound of

@@ -1,7 +1,6 @@
 package latency
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -118,27 +117,6 @@ func TestEmptyAndNegative(t *testing.T) {
 	h.Record(-time.Second) // clamps to 0
 	if got := h.Snapshot().Max(); got != 0 {
 		t.Errorf("negative duration recorded as %v, want 0", got)
-	}
-}
-
-// TestMerge checks bucket-wise merge equals recording into one histogram.
-func TestMerge(t *testing.T) {
-	var a, b, both Histogram
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-		both.Record(d)
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	want := both.Snapshot()
-	if *m != *want {
-		t.Error("merged snapshot differs from directly recorded one")
 	}
 }
 

@@ -62,3 +62,31 @@ func TestRetryAfterAfterIdle(t *testing.T) {
 		t.Fatalf("retryAfterSecs after an idle window with 16 queued = %d, want 1", got)
 	}
 }
+
+// TestRetryAfterFromDrainRate: the advertised backoff is the queue depth
+// over the observed grant rate, rounded up and clamped to [1, 30].
+func TestRetryAfterFromDrainRate(t *testing.T) {
+	q := newAdmitQueue(1, 8)
+	cases := []struct {
+		rate   float64
+		queued int
+		want   int
+	}{
+		{rate: 2, queued: 5, want: 3},     // ceil(6/2)
+		{rate: 10, queued: 3, want: 1},    // ceil(4/10) -> floor 1
+		{rate: 0.1, queued: 10, want: 30}, // ceil(11/0.1)=110 -> clamp 30
+		{rate: 0, queued: 4, want: 1},     // no signal: the old default
+	}
+	for _, tc := range cases {
+		q.mu.Lock()
+		q.lastRate = tc.rate
+		q.waiters = make([]*waiter, tc.queued)
+		q.grants = 0
+		q.winStart = time.Now()
+		q.mu.Unlock()
+		if got := q.retryAfterSecs(); got != tc.want {
+			t.Fatalf("retryAfterSecs(rate=%v queued=%d) = %d, want %d",
+				tc.rate, tc.queued, got, tc.want)
+		}
+	}
+}

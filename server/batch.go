@@ -41,7 +41,6 @@ type batcher struct {
 	ch     chan *batchItem
 	stop   chan struct{}
 	window time.Duration
-	winMul atomic.Int64 // brownout widening: effective window = window * winMul
 	max    int
 	run    func([]*batchItem)
 }
@@ -54,15 +53,9 @@ func newBatcher(window time.Duration, max int, run func([]*batchItem)) *batcher 
 		max:    max,
 		run:    run,
 	}
-	b.winMul.Store(1)
 	go b.loop()
 	return b
 }
-
-// widen scales the coalescing window by mul (1 restores the configured
-// window). The brownout controller widens a degraded endpoint's window so
-// scarce capacity is spent on fewer, larger batch jobs.
-func (b *batcher) widen(mul int64) { b.winMul.Store(mul) }
 
 // do rides one admitted request through the batcher: it joins the current
 // coalescing window and waits for its share of the batch's result — or for
@@ -120,11 +113,10 @@ func (b *batcher) fill(items []*batchItem) []*batchItem {
 		}
 		break
 	}
-	window := b.window * time.Duration(b.winMul.Load())
-	if len(items) >= b.max || window <= 0 {
+	if len(items) >= b.max || b.window <= 0 {
 		return items
 	}
-	timer := time.NewTimer(window)
+	timer := time.NewTimer(b.window)
 	defer timer.Stop()
 	for len(items) < b.max {
 		select {

@@ -14,8 +14,7 @@
 //	                                   worksharing kernel on the adaptive
 //	                                   foreach scheduler)
 //	GET /cholesky?n=192&nb=64&verify=1 tile Cholesky as dataflow tasks
-//	GET /healthz                       liveness (503 while draining; body
-//	                                   "degraded" + reasons under brownout)
+//	GET /healthz                       liveness: 200 "ok", or 503 "draining"
 //	GET /stats                         per-endpoint and scheduler counters
 //
 // A /cholesky reply carries gflops: n³/3 flops over the request's elapsed_ns,
@@ -45,25 +44,24 @@
 // every row through the same stages, in this order:
 //
 //  1. parse — the row's parser validates the query (n against the row's
-//     cap, timeout, and the row's own parameters); anything bad is a 400.
-//  2. shed — while the row is degraded (see Health & degradation), a
-//     request above half the row's cap is refused with 503 + Retry-After.
-//  3. admit — a budget slot, possibly after a wait in the admission queue
+//     cap: /fib 40, /loop 50 000 000, /cholesky 2 048; timeout, and the
+//     row's own parameters); anything bad is a 400.
+//  2. admit — a budget slot, possibly after a wait in the admission queue
 //     (next section); 503 while draining, 429 when the queue is full,
 //     504/499 when the request dies while queued. The latency clock of
 //     /stats starts here, once, for every row.
-//  4. chaos delay — the fault-injection site (Config.Chaos); free when off.
-//  5. batch or submit — a small request (n below the row's coalesceBelow:
+//  3. batch or submit — a small request (n below the row's coalesceBelow:
 //     /fib n < 18, /loop n < 1 000 000) of a row with a batch kernel joins
-//     the coalescing window; every other request is a job of its own: the row's attempt submits it —
-//     the fleet router places it on the least-loaded shard — and waits for
-//     it. elapsed_ns in the reply spans this stage and the next.
-//  6. panic-retry — an attempt (or a whole batch) that fails with a task
+//     the coalescing window; every other request is a job of its own: the
+//     row's attempt submits it — the fleet router places it on the
+//     least-loaded shard — and waits for it. elapsed_ns in the reply spans
+//     this stage and the next.
+//  4. panic-retry — an attempt (or a whole batch) that fails with a task
 //     panic is resubmitted up to Config.PanicRetries times, by one loop
 //     that also folds every attempt's task counters into the row.
-//  7. finish — the outcome is counted, its latency recorded and mapped to
+//  5. finish — the outcome is counted, its latency recorded and mapped to
 //     a status (Status taxonomy).
-//  8. reply — one builder writes the JSON body for every exit (direct,
+//  6. reply — one builder writes the JSON body for every exit (direct,
 //     batched, cancelled); the row's fill adds its own fields and the
 //     verified ok.
 //
@@ -79,9 +77,8 @@
 // is small: the kernel is what a coalesced batch runs per member, and their
 // attempt is the same kernel as a job of its own, so the two paths cannot
 // diverge. cholesky has no kernel and is never coalesced.
-// /healthz and /stats are not rows and bypass the pipeline. New, Close,
-// /stats, the brownout controller and the shedding gate iterate the table,
-// so a row is all an endpoint is.
+// /healthz and /stats are not rows and bypass the pipeline. New, Close and
+// /stats iterate the table, so a row is all an endpoint is.
 //
 // # Admission: queue, then batch or submit
 //
@@ -94,7 +91,7 @@
 //  2. Otherwise it joins the queue and waits under its own deadline.
 //     Slots are handed to waiters strictly FIFO as running requests
 //     finish. Time spent queued counts against the request's deadline —
-//     queueing narrows, never widens, the SLO.
+//     queueing narrows, never widens, the time a client was promised.
 //  3. Only when the queue itself is full does the server answer
 //     429 Too Many Requests with a Retry-After header. Backpressure is
 //     still applied at admission, before any work reaches the pool, so an
@@ -156,8 +153,7 @@
 //	504  the request's deadline fired (queued or running)
 //	499  the client disconnected (request context dead; queued or running)
 //	503  server-initiated cancellation (Job.Cancel or drain: the job was
-//	     cancelled but the request context is still alive), draining, or a
-//	     degraded endpoint shedding an oversized request (Retry-After set)
+//	     cancelled but the request context is still alive), or draining
 //	429  admission queue full (Retry-After set)
 //
 // A server-side cancel is never misreported as a client disconnect: 499
@@ -211,53 +207,38 @@
 // shard. shard_stats is omitted entirely when shards == 1, so consumers
 // of the single-pool schema see an unchanged reply.
 //
-// # Health & degradation
+// # Health and failure containment
 //
-// The server degrades deliberately instead of falling over. A shard whose
-// workers are all stuck in long bodies needs nothing from the server: its
-// load never falls, so the runtime's router places new jobs elsewhere, and
-// the siblings' cross-shard steals drain what it had queued.
+// Overload has one policy: bounded admission. The budget, the bounded
+// queue, the Retry-After on a 429 and each request's own deadline bound
+// what an over-capacity burst can cost; nothing is shed by size, and
+// /healthz answers 200 "ok" until StartDrain turns it 503 "draining". A
+// shard whose workers are all stuck in long bodies needs nothing from the
+// server either: its load never falls, so the runtime's router places new
+// jobs elsewhere, and the siblings' cross-shard steals drain what it had
+// queued.
 //
-// Endpoint brownout (Config.SLO): a controller samples every endpoint's
-// latency histogram every SLO.Tick (default 250ms) and compares the
-// windowed p99 — the delta between consecutive snapshots, not the lifetime
-// quantile — against the one target SLO.P99 (an endpoint with no traffic in
-// the window never violates it), treating a saturated admission queue
-// (depth at ≥ 3/4 of capacity) as a violation everywhere. The histogram is
-// the admission-to-status latency, so an injected handler delay counts.
-// Transitions are hysteretic so the controller cannot flap: two
-// consecutive violating windows enter degradation, three consecutive
-// windows at or below 80% of the SLO leave it, and windows between 80%
-// and 100% are a dead band that holds the current state. While an
-// endpoint is degraded the server sheds its oversized requests (size
-// above half the endpoint's cap) with 503 + Retry-After before they take
-// a budget slot, and widens its coalescing window 4x so small requests
-// ride in fewer, fuller batches. /healthz stays 200 but its body reports
-// "degraded" with one reason line per violating endpoint — draining alone
-// is 503 — and /stats mirrors the state ("degraded", "degraded_reasons",
-// per-endpoint "shed").
+// Config.PanicRetries is aimed at transient crashes: a job that fails with
+// a task panic is resubmitted up to N times while the request's context is
+// still alive (a fresh job, fresh tiles for /cholesky, the whole batch for
+// coalesced endpoints) before the panic is surfaced as a 500. Retries are
+// counted per endpoint as "panic_retried".
 //
-// Config.PanicRetries bounds a second mechanism, aimed at transient
-// crashes: a job that fails with a task panic is resubmitted up to N
-// times while the request's context is still alive (a fresh job, fresh
-// tiles for /cholesky, the whole batch for coalesced endpoints) before
-// the panic is surfaced as a 500. Retries are counted per endpoint as
-// "panic_retried".
-//
-// All of it is exercised by the fault-injection harness (internal/chaos):
-// `xkserve serve -chaos stall+panic+latency:7 -slo 15ms
-// -panic-retries 20` arms seeded task panics, worker stalls and handler
-// delays behind the scheduler's nil-check fast path, and the integration tier drives exactly that
-// topology through a full degrade-and-recover episode.
+// The fault-injection harness (internal/chaos) exercises it through the
+// runtime: `xkserve serve -chaos stall+panic:7 -panic-retries 20` arms
+// seeded task panics and worker stalls behind the scheduler's nil-check
+// fast path, and the integration tier drives exactly that topology under a
+// mixed load that must see zero 500s.
 //
 // # Stats, latency and data races
 //
 // /stats reports queue_cap and the live queue_depth, the per-endpoint
 // aggregates (atomics maintained from per-job stats, plus queued, 429,
-// cancelled, server_cancelled, batches and batched counts), and two
-// lock-free HDR-style histograms per endpoint (internal/latency):
-// end-to-end request latency and queue wait, each summarized as
-// count/mean/p50/p90/p99/max with ≤12.5% relative bucket error. The full
+// cancelled, server_cancelled, batches and batched counts; shed is always
+// 0), and two lock-free HDR-style histograms per endpoint
+// (internal/latency): end-to-end request latency and queue wait, each
+// summarized as count/mean/p50/p90/p99/max with ≤12.5% relative bucket
+// error. The full
 // scheduler counters ride along: every per-worker counter, task-path
 // included, is a cache-line-padded atomic, so mid-flight reads are
 // race-free and each value is a monotone lower bound of the true count.

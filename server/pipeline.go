@@ -7,22 +7,20 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"xkaapi"
-	"xkaapi/internal/latency"
 )
 
 // endpoint is one row of the server's endpoint table: everything the
 // request pipeline (Server.serve) needs to know about a workload. The
-// pipeline owns every stage — parse, shed, admit, chaos delay, batch or
-// submit, panic-retry, finish, reply — and a row only says what is specific
-// to its workload, so adding an endpoint is adding a row (builtinRows).
+// pipeline owns every stage — parse, admit, batch or submit, panic-retry,
+// finish, reply — and a row only says what is specific to its workload, so
+// adding an endpoint is adding a row (builtinRows).
 type endpoint struct {
 	name string // URL path ("/"+name), /stats key and the reply's endpoint field
 	defN int    // n when the query carries none
-	maxN int    // size cap: n above it is a 400; degraded mode sheds n > maxN/2
+	maxN int    // size cap: n above it is a 400
 
 	// parse validates the query into a request; ceiling is the server's
 	// default deadline (0: none), which a timeout parameter may only tighten.
@@ -43,12 +41,6 @@ type endpoint struct {
 
 	batch *batcher // set by newServer for rows with a kernel; nil: one job per request
 	stats endpointStats
-
-	// Brownout state (see brownout.step). Only the controller goroutine
-	// touches prev and the streaks; degraded is read by the pipeline.
-	prev      latency.Snapshot // previous tick's cumulative latency histogram
-	bad, good int              // consecutive violating / recovered windows
-	degraded  atomic.Bool
 }
 
 // request is one parsed, validated workload request.
@@ -71,9 +63,8 @@ type result struct {
 }
 
 // serve is the request pipeline, the one place where a request changes
-// stage. The latency clock starts once, at admission, so everything an
-// admitted request waits for — the injected handler delay included — is in
-// endpointStats.latency; elapsed_ns in the reply stays submit → result.
+// stage. The latency clock starts once, at admission: endpointStats.latency
+// runs to the status, elapsed_ns in the reply to the result.
 func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	rq, err := ep.parse(ep, r.URL.Query(), s.timeout)
 	if err != nil {
@@ -88,21 +79,16 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, rq.timeout)
 		defer cancel()
 	}
-	if s.shedOversized(ep, w, rq.n) {
-		return
-	}
 	if !s.admit(&ep.stats, w, ctx) {
 		return
 	}
 	defer s.release()
 	admitted := time.Now()
-	s.chaosDelay()
 
 	// Only small requests join a batch: a full-size one has nothing to
 	// amortize by waiting out the window, and as a batch member it would be
 	// confined to its batch's shard instead of being a root the router places
 	// on the least-loaded one.
-	start := time.Now()
 	res, done := result{}, false
 	if ep.batch != nil && rq.small {
 		res, done = ep.batch.do(ctx, rq.n)
@@ -110,7 +96,7 @@ func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	if !done {
 		res = s.runJob(ctx, ep, func() result { return ep.attempt(s, ctx, ep, rq) })
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(admitted)
 
 	rep := reply{Endpoint: ep.name, N: rq.n, NB: rq.nb, ElapsedNS: elapsed.Nanoseconds(), Job: res.stats}
 	if res.batch > 1 {
@@ -151,33 +137,6 @@ func (s *Server) retryOnPanic(ctx context.Context, err error, attempt int) bool 
 	}
 	var pe *xkaapi.PanicError
 	return errors.As(err, &pe)
-}
-
-// chaosDelay is the server-layer injection site: an admitted request
-// sleeps for the scenario's handler-delay pulse before submitting, driving
-// the latency SLO (and therefore the brownout controller) without touching
-// the scheduler. Free when no injector is armed.
-func (s *Server) chaosDelay() {
-	if cz := s.chaos; cz != nil {
-		if d := cz.HandlerDelay(); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
-// shedOversized is the brownout controller's load-shedding gate: while the
-// endpoint is degraded, requests above half its size cap are refused with
-// 503 + Retry-After before a budget slot is taken — the remaining capacity
-// goes to the small requests that can still meet the SLO. A no-op while
-// the endpoint is healthy or the controller is off.
-func (s *Server) shedOversized(ep *endpoint, w http.ResponseWriter, n int) bool {
-	if !ep.degraded.Load() || n*2 <= ep.maxN {
-		return false
-	}
-	ep.stats.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(s.adq.retryAfterSecs()))
-	http.Error(w, "degraded: oversized request shed", http.StatusServiceUnavailable)
-	return true
 }
 
 // parseSize is the part of parse every row shares: n against the row's

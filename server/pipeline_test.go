@@ -39,6 +39,21 @@ func jsonFields(v any) []string {
 	return keys
 }
 
+// statsReply fetches and decodes /stats.
+func statsReply(t *testing.T, url string) StatsReply {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr StatsReply
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
 // endpointStatsKeys is the wire contract of one /stats endpoints entry.
 var endpointStatsKeys = []string{"requests", "ok", "rejected", "failed", "cancelled", "server_cancelled",
 	"queued", "batches", "batched", "shed", "panic_retried",
@@ -46,27 +61,25 @@ var endpointStatsKeys = []string{"requests", "ok", "rejected", "failed", "cancel
 
 // TestEndpointContract ranges over the endpoint table and checks the
 // contract the pipeline gives every row: parameter validation, admission,
-// deadlines, shedding, drain and the /stats entry. A new row is covered by
-// adding its inputs here.
+// deadlines, drain and the /stats entry. A new row is covered by adding its
+// inputs here.
 func TestEndpointContract(t *testing.T) {
 	inputs := map[string]struct {
-		good string   // a small request below half the cap
-		big  string   // above half the cap: shed while degraded
+		good string   // a small request
 		bad  []string // each must be a 400
 	}{
-		"fib": {"n=10", "n=20",
-			[]string{"n=31", "n=-1", "n=x", "timeout=bogus", "timeout=-1s"}},
-		"loop": {"n=1000", "n=40000",
-			[]string{"n=999999999999", "n=60001", "n=-1", "timeout=0"}},
-		"cholesky": {"n=64&nb=32", "n=160&nb=32",
-			[]string{"n=0", "n=257", "n=-4", "n=64&nb=0", "n=64&nb=65", "n=64&nb=x", "timeout=soon"}},
+		"fib": {"n=10",
+			[]string{"n=41", "n=-1", "n=x", "timeout=bogus", "timeout=-1s"}},
+		"loop": {"n=1000",
+			[]string{"n=999999999999", "n=50000001", "n=-1", "timeout=0"}},
+		"cholesky": {"n=64&nb=32",
+			[]string{"n=0", "n=2049", "n=-4", "n=64&nb=0", "n=64&nb=65", "n=64&nb=x", "timeout=soon"}},
 	}
-	cfg := Config{MaxFib: 30, MaxLoop: 60_000, MaxChol: 256, Budget: 1, QueueDepth: 1,
-		SLO: SLO{P99: time.Hour, Tick: time.Hour}}
+	cfg := Config{Budget: 1, QueueDepth: 1}
 	if got := jsonFields(EndpointStats{}); !slices.Equal(got, endpointStatsKeys) {
 		t.Errorf("EndpointStats JSON keys = %q, want %q: a wire change must edit this test", got, endpointStatsKeys)
 	}
-	for _, proto := range builtinRows(cfg) {
+	for _, proto := range builtinRows() {
 		in, ok := inputs[proto.name]
 		if !ok {
 			t.Errorf("endpoint %s has no contract inputs", proto.name)
@@ -109,16 +122,6 @@ func TestEndpointContract(t *testing.T) {
 				t.Errorf("requests = %d, want 1: the 429 and the 504 were never admitted", got)
 			}
 
-			// Degraded: the oversized request is shed, the small one served.
-			ep.setDegraded(true)
-			if code, ra := get(t, base+in.big); code != http.StatusServiceUnavailable || ra == "" {
-				t.Errorf("oversized while degraded: status %d Retry-After %q, want 503 with a hint", code, ra)
-			}
-			if code, _ := get(t, base+in.good); code != http.StatusOK {
-				t.Errorf("small while degraded: status %d, want 200", code)
-			}
-			ep.setDegraded(false)
-
 			// The wire names are spelled out here, not read back from the struct
 			// tags that produce them: a renamed key must fail this test.
 			var raw struct {
@@ -142,9 +145,9 @@ func TestEndpointContract(t *testing.T) {
 				}
 			}
 			es := statsReply(t, ts.URL).Endpoints[ep.name]
-			if es.Requests != 2 || es.OK != 2 || es.Rejected != 1 || es.Cancelled != 1 || es.Shed != 1 ||
-				es.Queued != 1 || es.Latency.Count != 2 || es.QueueWait.Count != 1 {
-				t.Errorf("/stats endpoints.%s = %+v, want 2 served, 1 rejected, 1 expired in queue, 1 shed", ep.name, es)
+			if es.Requests != 1 || es.OK != 1 || es.Rejected != 1 || es.Cancelled != 1 || es.Shed != 0 ||
+				es.Queued != 1 || es.Latency.Count != 1 || es.QueueWait.Count != 1 {
+				t.Errorf("/stats endpoints.%s = %+v, want 1 served, 1 rejected, 1 expired in queue, 0 shed", ep.name, es)
 			}
 
 			s.StartDrain()
@@ -156,8 +159,8 @@ func TestEndpointContract(t *testing.T) {
 }
 
 // TestTableRowIsAnEndpoint appends a fourth row with a trivial attempt and
-// checks it gets the whole pipeline — routing, admission, panic-retry,
-// shedding, brownout supervision, a /stats entry — with no pipeline edit.
+// checks it gets the whole pipeline — routing, parameter validation,
+// admission, panic-retry, a /stats entry — with no pipeline edit.
 func TestTableRowIsAnEndpoint(t *testing.T) {
 	var attempts atomic.Int64
 	echo := &endpoint{name: "echo", defN: 1, maxN: 100, parse: parseSmall,
@@ -175,9 +178,8 @@ func TestTableRowIsAnEndpoint(t *testing.T) {
 		},
 		fill: fillValue(func(n int) int64 { return int64(n) })}
 
-	cfg := Config{Runtime: xkaapi.New(xkaapi.WithWorkers(2)),
-		Budget: 1, QueueDepth: -1, PanicRetries: 1, SLO: SLO{P99: 20 * time.Millisecond, Tick: time.Hour}}
-	s := newServer(cfg, append(builtinRows(cfg), echo))
+	cfg := Config{Runtime: xkaapi.New(xkaapi.WithWorkers(2)), Budget: 1, QueueDepth: -1, PanicRetries: 1}
+	s := newServer(cfg, append(builtinRows(), echo))
 	url := startTestServer(t, s).URL
 
 	var rep reply
@@ -196,44 +198,39 @@ func TestTableRowIsAnEndpoint(t *testing.T) {
 	}
 	s.release()
 
-	record(s, echo, 50*time.Millisecond, 10)
-	record(s, echo, 50*time.Millisecond, 10)
-	sr := statsReply(t, url)
-	if !sr.Degraded || !strings.Contains(strings.Join(sr.DegradedReasons, "\n"), "echo") {
-		t.Fatalf("two windows over the SLO: degraded=%v reasons=%q, want echo degraded", sr.Degraded, sr.DegradedReasons)
-	}
-	if code, _ := get(t, url+"/echo?n=60"); code != http.StatusServiceUnavailable {
-		t.Errorf("GET /echo?n=60 while degraded: status %d, want 503 (shed)", code)
-	}
 	es := statsReply(t, url).Endpoints["echo"]
-	if es.Requests != 1 || es.OK != 1 || es.Rejected != 1 || es.Shed != 1 || es.PanicRetried != 1 || es.TaskPanicked == 0 {
-		t.Errorf("/stats endpoints.echo = %+v, want 1 ok, 1 rejected, 1 shed, 1 retried panic", es)
+	if es.Requests != 1 || es.OK != 1 || es.Rejected != 1 || es.PanicRetried != 1 || es.TaskPanicked == 0 {
+		t.Errorf("/stats endpoints.echo = %+v, want 1 ok, 1 rejected, 1 retried panic", es)
 	}
 }
 
-// TestLatencyClockStartsAtAdmission: the injected handler delay is time an
-// admitted request waited, so it must be in the endpoint's latency
-// histogram (which the brownout controller reads), while elapsed_ns keeps
-// meaning submit → result.
-func TestLatencyClockStartsAtAdmission(t *testing.T) {
-	const delay = 20 * time.Millisecond
-	inj := xkaapi.NewChaosInjector(xkaapi.ChaosScenario{Seed: 1,
-		HandlerDelay: xkaapi.ChaosPulse{Prob: 1, For: delay}})
-	s, ts := newTestServer(t, Config{Chaos: inj})
-
-	var rep reply
-	if code := getJSON(t, ts.URL+"/fib?n=1", &rep); code != http.StatusOK || !rep.OK {
-		t.Fatalf("GET /fib?n=1: status %d ok=%v", code, rep.OK)
+// TestPanicRetriesServeThrough: with task-panic injection armed and
+// PanicRetries generous, every request must still answer a verified 200 —
+// the 500s a panic would cause are absorbed by server-side resubmission,
+// and /stats records the retries.
+func TestPanicRetriesServeThrough(t *testing.T) {
+	inj := xkaapi.NewChaosInjector(xkaapi.ChaosScenario{Seed: 11, TaskPanic: 0.01})
+	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithChaos(inj))
+	s, ts := newTestServer(t, Config{Runtime: rt, PanicRetries: 25})
+	for i := 0; i < 30; i++ {
+		resp, err := http.Get(ts.URL + "/fib?n=8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep reply
+		json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !rep.OK {
+			t.Fatalf("request %d: status %d ok=%v error=%q — panic retries not absorbing failures",
+				i, resp.StatusCode, rep.OK, rep.Error)
+		}
 	}
-	lat := row(s, "fib").stats.latency.Summary()
-	if lat.MaxNS < delay.Nanoseconds() {
-		t.Errorf("latency max = %v, want >= the %v injected after admission", time.Duration(lat.MaxNS), delay)
+	retried := row(s, "fib").stats.panicRetried.Load()
+	if retried == 0 {
+		t.Fatal("1% panic rate across 30 fib trees never triggered a retry")
 	}
-	// One sample, so the mean is that request's exact latency: the delay is
-	// inside it and outside elapsed_ns, however long the job took on this box.
-	if gap := lat.MeanNS - rep.ElapsedNS; lat.Count != 1 || gap < delay.Nanoseconds() {
-		t.Errorf("latency %v (%d samples) - elapsed_ns %v = %v, want >= the %v delay: elapsed_ns is submit → result only",
-			time.Duration(lat.MeanNS), lat.Count, time.Duration(rep.ElapsedNS), time.Duration(gap), delay)
+	if c := inj.Counts(); c.TaskPanics == 0 {
+		t.Fatalf("injector fired no task panics: %+v", c)
 	}
 }
 
@@ -262,7 +259,7 @@ func wave(t *testing.T, url string, k int) []reply {
 // leaves the batcher untouched, a wave just below coalesceBelow rides it.
 func TestOnlySmallRequestsCoalesce(t *testing.T) {
 	const clients = 4
-	for _, proto := range builtinRows(Config{}) {
+	for _, proto := range builtinRows() {
 		if proto.kernel == nil {
 			continue
 		}
@@ -333,7 +330,7 @@ func FuzzParseRequest(f *testing.F) {
 		f.Add(seed)
 	}
 	const ceiling = 30 * time.Second
-	rows := builtinRows(Config{})
+	rows := builtinRows()
 	f.Fuzz(func(t *testing.T, query string) {
 		q, _ := url.ParseQuery(query) // what net/http hands the pipeline: the pairs that did parse
 		for _, ep := range rows {

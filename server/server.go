@@ -57,26 +57,11 @@ type Config struct {
 	// does not send a timeout parameter. Zero means no default deadline
 	// (the request context still cancels on client disconnect).
 	DefaultTimeout time.Duration
-	// MaxFib, MaxLoop, MaxChol cap the per-request problem sizes; a request
-	// above its cap is a 400. Zeros select 40, 50_000_000 and 2048.
-	MaxFib, MaxLoop, MaxChol int
-	// SLO enables the brownout controller: the p99 target every endpoint
-	// is held to, which the server degrades gracefully against (shedding
-	// oversized requests, widening batch windows, reporting "degraded" from
-	// /healthz) instead of violating silently. A zero SLO.P99 disables the
-	// controller.
-	SLO SLO
 	// PanicRetries resubmits a request's job up to N times when it fails
 	// with a *xkaapi.PanicError (a crashed task, injected or real), as long
 	// as the request's own deadline still stands. Zero disables retries: a
 	// panic is a 500, the pre-chaos behavior.
 	PanicRetries int
-	// Chaos arms the server-layer fault-injection site (a delay after
-	// admission, inside the latency clock) with the given injector —
-	// normally the same injector the runtime was built with
-	// (xkaapi.WithChaos), so one seed drives the whole stack. Nil disables
-	// injection at zero cost.
-	Chaos *xkaapi.ChaosInjector
 }
 
 // endpointStats aggregates one endpoint's outcomes. All counters are
@@ -94,7 +79,6 @@ type endpointStats struct {
 	batches atomic.Int64 // coalesced batches dispatched (size > 1)
 	batched atomic.Int64 // requests served via a coalesced batch
 
-	shed         atomic.Int64 // oversized requests refused while degraded (503)
 	panicRetried atomic.Int64 // panic-failed jobs resubmitted (Config.PanicRetries)
 
 	taskExecuted  atomic.Int64 // per-job stats, summed over requests
@@ -118,6 +102,9 @@ type EndpointStats struct {
 	Batches int64 `json:"batches"`
 	Batched int64 `json:"batched"`
 
+	// Shed always reads 0: the server sheds nothing. The key stays on the
+	// wire because the benchmark of record still decodes it; drop it once
+	// that reader is gone.
 	Shed         int64 `json:"shed"`
 	PanicRetried int64 `json:"panic_retried"`
 
@@ -140,7 +127,6 @@ func (es *endpointStats) snapshot() EndpointStats {
 		Queued:          es.queued.Load(),
 		Batches:         es.batches.Load(),
 		Batched:         es.batched.Load(),
-		Shed:            es.shed.Load(),
 		PanicRetried:    es.panicRetried.Load(),
 		TaskExecuted:    es.taskExecuted.Load(),
 		TaskCancelled:   es.taskCancelled.Load(),
@@ -162,9 +148,7 @@ type Server struct {
 	timeout  time.Duration
 	draining atomic.Bool
 
-	chaos        *xkaapi.ChaosInjector // nil: handler-delay site disabled
 	panicRetries int
-	brow         *brownout // nil: brownout controller disabled
 
 	eps []*endpoint // the endpoint table: one row per workload
 }
@@ -174,7 +158,7 @@ type Server struct {
 // the caller owns the runtime's lifecycle — reach a self-built one through
 // Server.Runtime for the shutdown order described at StartDrain. Close
 // stops the coalescing collectors once no more requests can arrive.
-func New(cfg Config) *Server { return newServer(cfg, builtinRows(cfg)) }
+func New(cfg Config) *Server { return newServer(cfg, builtinRows()) }
 
 // newServer is New over an explicit endpoint table.
 func newServer(cfg Config, rows []*endpoint) *Server {
@@ -205,7 +189,6 @@ func newServer(cfg Config, rows []*endpoint) *Server {
 		adq:     newAdmitQueue(budget, queueCap),
 		timeout: cfg.DefaultTimeout,
 
-		chaos:        cfg.Chaos,
 		panicRetries: cfg.PanicRetries,
 		eps:          rows,
 	}
@@ -221,9 +204,6 @@ func newServer(cfg Config, rows []*endpoint) *Server {
 			}
 		}
 		s.mux.HandleFunc("GET /"+ep.name, func(w http.ResponseWriter, r *http.Request) { s.serve(ep, w, r) })
-	}
-	if cfg.SLO.P99 > 0 {
-		s.brow = newBrownout(s, cfg.SLO) // after the batchers: it widens them
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -267,23 +247,16 @@ func (s *Server) StartDrain() {
 // Draining reports whether StartDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the request-coalescing collectors and the brownout
-// controller. Call it after the HTTP server is shut down (no handler can
-// submit anymore); batches already collected still complete.
+// Close stops the request-coalescing collectors. Call it after the HTTP
+// server is shut down (no handler can submit anymore); batches already
+// collected still complete.
 func (s *Server) Close() {
-	if s.brow != nil {
-		s.brow.close()
-	}
 	for _, ep := range s.eps {
 		if ep.batch != nil {
 			ep.batch.close()
 		}
 	}
 }
-
-// Degraded reports whether the brownout controller currently has any
-// endpoint in degraded mode (always false without an SLO).
-func (s *Server) Degraded() bool { return s.brow != nil && s.brow.degraded.Load() }
 
 // admit applies admission control for one workload request: refuse with
 // 503 while draining; otherwise take a budget slot, waiting in the bounded
@@ -405,40 +378,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) // write error means the client is gone; nothing to do
 }
 
-// handleHealthz reports three states: 503 "draining" (stop routing here —
-// the only non-200 state), 200 "degraded" with one reason line per active
-// brownout cause (keep routing, but the server is shedding load), and 200
-// "ok". Degraded stays 200 deliberately: a browned-out server is still the
-// best place for the traffic it accepts, and load balancers that only
-// check the status code keep working unchanged.
+// handleHealthz reports two states: 503 "draining" (stop routing here) and
+// 200 "ok".
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.Degraded() {
-		fmt.Fprintln(w, "degraded")
-		fmt.Fprintln(w, s.brow.reasonText())
-		return
-	}
 	fmt.Fprintln(w, "ok")
 }
 
 // StatsReply is the JSON body of /stats.
 type StatsReply struct {
-	Workers    int  `json:"workers"`
-	Shards     int  `json:"shards"`
-	Budget     int  `json:"budget"`
-	InFlight   int  `json:"in_flight"`
-	QueueCap   int  `json:"queue_cap"`
-	QueueDepth int  `json:"queue_depth"`
-	Draining   bool `json:"draining"`
-	Degraded   bool `json:"degraded"`
-	// DegradedReasons lists the active brownout causes (one string per
-	// endpoint over SLO, plus queue saturation), empty when healthy.
-	DegradedReasons []string                 `json:"degraded_reasons,omitempty"`
-	Endpoints       map[string]EndpointStats `json:"endpoints"`
+	Workers    int                      `json:"workers"`
+	Shards     int                      `json:"shards"`
+	Budget     int                      `json:"budget"`
+	InFlight   int                      `json:"in_flight"`
+	QueueCap   int                      `json:"queue_cap"`
+	QueueDepth int                      `json:"queue_depth"`
+	Draining   bool                     `json:"draining"`
+	Endpoints  map[string]EndpointStats `json:"endpoints"`
 	// Scheduler carries the full live scheduler counters — summed over
 	// every shard on a sharded runtime: the task-path counters
 	// (Spawned/Executed/Cancelled/...) are per-worker padded atomics, so
@@ -478,15 +438,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueCap:   s.QueueCap(),
 		QueueDepth: s.QueueDepth(),
 		Draining:   s.draining.Load(),
-		Degraded:   s.Degraded(),
 		Endpoints:  make(map[string]EndpointStats, len(s.eps)),
 		Scheduler:  s.rt.Stats(),
 	}
 	for _, ep := range s.eps {
 		reply.Endpoints[ep.name] = ep.stats.snapshot()
-	}
-	if reply.Degraded {
-		reply.DegradedReasons = s.brow.reasonLines()
 	}
 	if reply.Shards > 1 {
 		for _, ss := range s.rt.ShardStats() {

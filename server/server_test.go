@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -121,7 +122,11 @@ func TestEndpointsServeVerifiedJobs(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz: %v (status %v)", err, resp)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if string(body) != "ok\n" {
+		t.Errorf("GET /healthz body = %q, want \"ok\\n\"", body)
+	}
 }
 
 // TestBackpressure429NoQueue checks the pre-queue behavior survives behind
@@ -667,7 +672,7 @@ func TestMixedBurstUnderBudget(t *testing.T) {
 // for a huge timeout still gets the server ceiling.
 func TestTimeoutParamCannotExceedCeiling(t *testing.T) {
 	const ceiling = 50 * time.Millisecond
-	for _, ep := range builtinRows(Config{}) {
+	for _, ep := range builtinRows() {
 		for _, tc := range []struct {
 			query string
 			want  time.Duration

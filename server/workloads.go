@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"net/url"
@@ -42,15 +41,13 @@ import (
 //	empty job          1.2
 //	fib  n=16..21      178  268  425  618  965  1569
 //	loop n=250k..2M     91  168  335  641   (n doubling)
-func builtinRows(cfg Config) []*endpoint {
-	// A cap of zero (or below) selects the row's default.
-	orDefault := func(v, def int) int { return cmp.Or(max(v, 0), def) }
+func builtinRows() []*endpoint {
 	return []*endpoint{
-		{name: "fib", defN: 22, maxN: orDefault(cfg.MaxFib, 40), kernel: fibTask, coalesceBelow: 18,
+		{name: "fib", defN: 22, maxN: 40, kernel: fibTask, coalesceBelow: 18,
 			parse: parseSmall, fill: fillValue(FibSeq)},
-		{name: "loop", defN: 200_000, maxN: orDefault(cfg.MaxLoop, 50_000_000), kernel: loopKernel, coalesceBelow: 1_000_000,
+		{name: "loop", defN: 200_000, maxN: 50_000_000, kernel: loopKernel, coalesceBelow: 1_000_000,
 			parse: parseSmall, fill: fillValue(func(n int) int64 { return int64(n) * int64(n-1) / 2 })},
-		{name: "cholesky", defN: 192, maxN: orDefault(cfg.MaxChol, 2048),
+		{name: "cholesky", defN: 192, maxN: 2048,
 			parse: parseCholesky, attempt: factorTiles, fill: fillCholesky},
 	}
 }

@@ -265,8 +265,8 @@ func WithShards(n int) Option { return func(c *config) { c.Shards = n } }
 
 // ChaosScenario configures deterministic fault injection: seeded
 // probabilities for task-body panics, adaptive-loop chunk panics, forced
-// steal misses, worker stalls, delayed root delivery and server handler
-// delays. See NewChaosInjector and WithChaos.
+// steal misses, worker stalls and delayed root delivery. See
+// NewChaosInjector and WithChaos.
 type ChaosScenario = chaos.Scenario
 
 // ChaosPulse is a probabilistic delay (probability + duration) used by the
@@ -283,7 +283,7 @@ type ChaosInjector = chaos.Injector
 func NewChaosInjector(sc ChaosScenario) *ChaosInjector { return chaos.New(sc) }
 
 // ParseChaos builds an injector from a scenario spec like "panic+stall:42"
-// (fragments: panic, steal, stall, inbox, latency, all; the number
+// (fragments: panic, steal, stall, inbox, all; the number
 // after ':' is the seed). Empty spec or "off" yields (nil, nil): disabled.
 func ParseChaos(spec string) (*ChaosInjector, error) { return chaos.Parse(spec) }
 
