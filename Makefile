@@ -40,20 +40,21 @@ race-stress:
 vet:
 	$(GO) vet ./...
 
-# cross vets the module for arm64. On amd64 the blas micro-kernel is AVX
-# assembly (internal/blas/kernel_amd64.s) chosen at init over the portable
-# Go kernel, which amd64 compiles too; only a non-amd64 build compiles
-# kernel_generic.go, the kern every other GOARCH runs. vet type-checks it
-# (and every test) without a cross toolchain or a network.
+# cross vets the module for arm64. On amd64 the blas 4×4 micro-kernel is
+# AVX assembly (internal/blas/kernel_amd64.s) chosen at init over the
+# portable Go kernel, which amd64 compiles too; only a non-amd64 build
+# compiles kernel_generic.go, the kern every other GOARCH runs. vet
+# type-checks it (and every test) without a cross toolchain or a network.
 .PHONY: cross
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 
 # lint runs the module's own static analyzers (internal/analysis) through
 # the cmd/xkvet multichecker: jobfailsingleton, taskctx, hotpath and
-# atomicpad — the concurrency invariants stock vet cannot see. The binary
-# is built once into bin/ and rebuilt only when its sources change, so CI
-# can cache it.
+# atomicpad — the concurrency invariants stock vet cannot see — and unused,
+# which keeps unexported code that only tests call from building up. The
+# binary is built once into bin/ and rebuilt only when its sources change,
+# so CI can cache it.
 XKVET = bin/xkvet
 XKVET_SRCS = $(shell find cmd/xkvet internal/analysis -name '*.go' -not -path '*/testdata/*')
 $(XKVET): $(XKVET_SRCS)

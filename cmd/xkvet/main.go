@@ -29,6 +29,7 @@ import (
 	"xkaapi/internal/analysis/hotpath"
 	"xkaapi/internal/analysis/jobfailsingleton"
 	"xkaapi/internal/analysis/taskctx"
+	"xkaapi/internal/analysis/unused"
 )
 
 // analyzers is the gating suite, in diagnostic-output order.
@@ -37,6 +38,7 @@ var analyzers = []*analysis.Analyzer{
 	taskctx.Analyzer,
 	hotpath.Analyzer,
 	atomicpad.Analyzer,
+	unused.Analyzer,
 }
 
 func main() {

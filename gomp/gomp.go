@@ -151,9 +151,6 @@ func (r *region) fail(err error) { r.st.Fail(err) }
 // failed reports whether the region has failed (hot-path skip check).
 func (r *region) failed() bool { return r.st.Failed() }
 
-// firstErr returns the region's recorded failure, if any.
-func (r *region) firstErr() error { return r.st.Err() }
-
 // invoke runs fn behind a panic barrier; a panic fails the region.
 func (r *region) invoke(fn func(*TC), tc *TC) {
 	defer func() {

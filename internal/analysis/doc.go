@@ -1,10 +1,10 @@
 // Package analysis is the module's own static-analysis tier: a small
 // go/analysis-style framework plus the loader that type-checks packages
 // offline, driven by cmd/xkvet and gated in CI via `make lint` (ci.sh
-// runs it between `go vet` and the build). The analyzers encode the
+// runs it between `go vet` and the build). Four analyzers encode the
 // concurrency invariants this runtime's performance claims rest on —
 // properties stock vet cannot see because they are conventions of this
-// codebase, not of Go.
+// codebase, not of Go — and a fifth keeps dead code from building up.
 //
 // # The analyzers
 //
@@ -39,6 +39,12 @@
 // uncontended" premise dies silently. It also checks that 64-bit
 // sync/atomic calls on struct fields are 8-byte-aligned on 32-bit
 // targets (computed with 386 sizes), the classic sync/atomic trap.
+//
+// unused — an unexported function or method that no non-test file of its
+// package references is dead code: only a test, or nothing, still calls
+// it. Methods match by name, so one reached only through an interface of
+// the package is kept; exported identifiers are out of scope, since
+// another package may call them.
 //
 // # Conventions
 //

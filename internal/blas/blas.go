@@ -6,12 +6,13 @@
 //
 // # The micro-kernel
 //
-// All four level-3 kernels are built on one micro-kernel, kern: a 2×4
-// block of C minus the dot products of two rows of A with four rows of B,
-// its eight sums held in registers. The NT layout makes both operands
+// All four level-3 kernels are built on one micro-kernel, kern: a 4×4
+// block of C minus the dot products of four rows of A with four rows of B.
+// Each element of A it loads feeds four products and each of B four, so a
+// multiply-add costs 0.5 loads. The NT layout makes both operands
 // k-contiguous, so the block runs along k over plain slices and nothing is
 // packed or copied. GemmNT cuts C into micro-blocks; SyrkLN cuts C the same
-// way below the diagonal and sends the one micro-block per row pair that
+// way below the diagonal and sends the one micro-block per four rows that
 // the diagonal crosses through a scratch block, so it never writes j > i;
 // TrsmRLTN eliminates the solved columns from each 4-column panel with
 // GemmNT and finishes the panel with a 4-wide triangular solve per row;
@@ -23,10 +24,11 @@
 // (kernel_generic.go) and on an amd64 CPU without AVX, and in AVX assembly
 // (kernel_amd64.s), which is kern on an amd64 CPU with AVX. The choice is
 // made once, at package init, from CPUID and XGETBV (kernel_amd64.go). The
-// assembly holds four of the eight sums in each 256-bit register and does,
-// lane by lane, the multiplies, adds and final subtractions of the Go code
-// in the same order, with no fused multiply-add, so on amd64 the two agree
-// bit for bit (TestKernBitwise checks it, NaN, ±Inf, ±0 and subnormals
+// assembly holds the sixteen sums as one 256-bit register per row of A,
+// transposes each 4×4 block of B it loads once for all four rows, and
+// does, lane by lane, the multiplies, adds and final subtractions of the
+// Go code (two 2×4 halves, whose eight sums fit in registers) in the same
+// order, with no fused multiply-add, so on amd64 the two agree bit for bit (TestKernBitwise checks it, NaN, ±Inf, ±0 and subnormals
 // included). Across GOARCHes no bits are promised: on arm64, ppc64 and
 // s390x the Go compiler may fuse a multiply and an add into one FMA. The
 // GOARCH and the CPU are the only selection — there is no option, flag,
@@ -35,7 +37,7 @@
 // made the call.
 //
 // What a micro-block does not cover takes a scalar dot-product path: the
-// m%2 last row and n%4 last columns of GemmNT, the rows and columns of
+// m%4 last rows and n%4 last columns of GemmNT, the rows and columns of
 // SyrkLN short of a full micro-block, the n%4 last columns of TrsmRLTN, and
 // the 16×16 diagonal blocks PotrfLower factors entry by entry. With tile
 // sizes that are multiples of 4, those diagonal blocks are the only work

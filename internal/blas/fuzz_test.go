@@ -186,8 +186,9 @@ func TestKernBitwise(t *testing.T) {
 
 // A short operand panics with the index error the Go kernel gave (the
 // messages below are its own). In GemmNT, SyrkLN and TrsmRLTN the
-// operand is short only where a micro-block reads, so the panic comes from
-// kern's slicing, before the block's C is read or written. Every element a
+// operand is short only where a micro-block reads — m is at least mr, or
+// the rows would take the scalar path — so the panic comes from kern's
+// slicing, before the block's C is read or written. Every element a
 // micro-block reads in PotrfLower has been read before by the scalar code,
 // which is where its short operand fails.
 func TestShortOperandPanics(t *testing.T) {
@@ -198,7 +199,7 @@ func TestShortOperandPanics(t *testing.T) {
 		inKern bool
 	}{
 		{"gemm: B has three rows of four", func() {
-			GemmNT(2, 4, 5, make([]float64, 10), 5, make([]float64, 15), 5, make([]float64, 8), 4)
+			GemmNT(4, 4, 5, make([]float64, 20), 5, make([]float64, 15), 5, make([]float64, 16), 4)
 		}, "runtime error: slice bounds out of range [:20] with capacity 15", true},
 		{"syrk: A one short of four rows", func() {
 			SyrkLN(4, 3, make([]float64, 11), 3, make([]float64, 16), 4)
@@ -208,8 +209,8 @@ func TestShortOperandPanics(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				l[i*8+i] = 1
 			}
-			TrsmRLTN(2, 8, l, 8, make([]float64, 15), 8)
-		}, "runtime error: slice bounds out of range [:12] with capacity 11", true},
+			TrsmRLTN(4, 8, l, 8, make([]float64, 31), 8)
+		}, "runtime error: slice bounds out of range [:28] with capacity 27", true},
 		{"potrf: A one short", func() {
 			const n = 20
 			a := make([]float64, n*n)

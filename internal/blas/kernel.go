@@ -5,7 +5,7 @@ package blas
 
 // The micro-kernel's block of C: mr rows of A against nr rows of B.
 const (
-	mr = 2
+	mr = 4
 	nr = 4
 )
 
@@ -14,18 +14,33 @@ const (
 //
 //	C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
 //
-// with a, b and c starting at the block's first element. The mr·nr sums
-// live in registers and each loaded element of A feeds nr products, each of
-// B mr, so a multiply-add costs 0.75 loads where a row-by-row dot product
-// pays 2.
+// with a, b and c starting at the block's first element. It runs as two
+// 2×4 halves, rows 0–1 and 2–3 (kern2x4), whose eight sums fit in
+// registers; every element's sum is taken in k order from +0 either way.
+// Each loaded element of A feeds nr products, each of B mr, so in the
+// assembly, which holds all sixteen sums, a multiply-add costs 0.5 loads
+// where a row-by-row dot product pays 2.
 //
 // kern is this function on every GOARCH but amd64 (kernel_generic.go) and
 // on an amd64 CPU without AVX. With AVX kern is the assembly in
 // kernel_amd64.s, which performs the same operations in the same order and
 // so produces the same bits; kernGo is then its oracle in the tests.
+//
+// Every row of the block is sliced before the first element is read, so a
+// short operand panics before C is read or written.
 func kernGo(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	a0, a1 := a[:k], a[lda:lda+k]
+	a0, a1, a2, a3 := a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
 	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
+	c0, c1, c2, c3 := c[:nr], c[ldc:ldc+nr], c[2*ldc:2*ldc+nr], c[3*ldc:3*ldc+nr]
+	kern2x4(a0, a1, b0, b1, b2, b3, c0, c1)
+	kern2x4(a2, a3, b0, b1, b2, b3, c2, c3)
+}
+
+// kern2x4 is half of kernGo: C rows c0, c1 minus the dot products of A rows
+// a0, a1 with B rows b0…b3, all of a0's length.
+func kern2x4(a0, a1, b0, b1, b2, b3, c0, c1 []float64) {
+	a1 = a1[:len(a0)]
+	b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
 	var s00, s01, s02, s03, s10, s11, s12, s13 float64
 	for t, x0 := range a0 {
 		x1 := a1[t]
@@ -39,7 +54,7 @@ func kernGo(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc 
 		s12 += x1 * y2
 		s13 += x1 * y3
 	}
-	c0, c1 := c[:nr], c[ldc:ldc+nr]
+	c0, c1 = c0[:nr], c1[:nr]
 	c0[0] -= s00
 	c0[1] -= s01
 	c0[2] -= s02

@@ -9,35 +9,37 @@ var useAVX = hasAVX()
 
 // kern is the micro-kernel, C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
 // (see kernGo), run by kernAVX where the CPU has AVX and by kernGo where it
-// does not. It first takes the slices kernGo takes, so an operand too short
-// for the block panics with kernGo's index error before any element is
-// read or written.
+// does not. It first takes every row slice of the block that kernGo takes,
+// so an operand too short for the block panics with kernGo's index error
+// before any element is read or written.
 func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if !useAVX {
 		kernGo(k, a, lda, b, ldb, c, ldc)
 		return
 	}
-	a0, a1 := a[:k], a[lda:lda+k]
-	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
-	c0, c1 := c[:nr], c[ldc:ldc+nr]
+	_, _, _, _ = a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
+	_, _, _, _ = b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
+	_, _, _, _ = c[:nr], c[ldc:ldc+nr], c[2*ldc:2*ldc+nr], c[3*ldc:3*ldc+nr]
 	// With k = 0 kernGo subtracts +0 from C, which leaves every bit of it
 	// as it was.
 	if k > 0 {
-		kernAVX(k, &a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], &c0[0], &c1[0])
+		kernAVX(k, &a[0], lda, &b[0], ldb, &c[0], ldc)
 	}
 }
 
 // kernAVX is kernGo's loop and update on four-lane AVX registers. Lane j
-// of the first sum register is s0j, a0[t] broadcast times (b0[t], b1[t],
-// b2[t], b3[t]) added in, and the second register is the same for a1: every
-// lane does the multiply and the add one line of kernGo does, with no
-// fused multiply-add, the sums taken in k order from +0, and C updated with
-// one subtraction per element. The results are therefore kernGo's, bit for
-// bit. a0 and a1 point at the k elements of A's two rows, b0…b3 at B's
-// four, c0 and c1 at C's two rows of nr; k must be positive.
+// of sum register i is sij: ai[t] broadcast times (b0[t], b1[t], b2[t],
+// b3[t]) added in, for the four rows of A at once, so each transpose of a
+// 4×4 block of B feeds all sixteen sums. Every lane does the multiply and
+// the add one line of kernGo does, with no fused multiply-add, the sums
+// taken in k order from +0, and C updated with one subtraction per
+// element. The results are therefore kernGo's, bit for bit. a, b and c
+// point at the block's first element of A, B and C, whose rows are lda,
+// ldb and ldc elements apart; k must be positive and every row in range,
+// which kern has checked.
 //
 //go:noescape
-func kernAVX(k int, a0, a1, b0, b1, b2, b3, c0, c1 *float64)
+func kernAVX(k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
 
 // CPUID leaf 1 ECX and XCR0 bits that together say AVX can be used: the
 // CPU has it, the OS saves registers with XSAVE, and XSAVE covers both the

@@ -1,22 +1,33 @@
 #include "textflag.h"
 
-// func kernAVX(k int, a0, a1, b0, b1, b2, b3, c0, c1 *float64)
+// func kernAVX(k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
 //
-// Sums: Y0 = (s00, s01, s02, s03), Y1 = (s10, s11, s12, s13). Each product
-// is formed as (y·x), the column of B times the broadcast A element, and
+// Sums: Yi = (si0, si1, si2, si3) for A row i, i = 0…3. Each product is
+// formed as (y·x), the column of B times the broadcast A element, and
 // added into its sum; the main loop does t…t+3 per trip, transposing the
-// 4×4 block of B it loads into four columns, and the tail does the k%4
-// last t one at a time.
-TEXT ·kernAVX(SB), NOSPLIT, $0-72
+// 4×4 block of B it loads into four columns that all four rows use, and
+// the tail does the k%4 last t one at a time.
+//
+// Registers: SI, DI, BX, R12 point at A's four rows and R8…R11 at B's;
+// AX is k, CX the index t, DX the bound of the main loop.
+TEXT ·kernAVX(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), AX
-	MOVQ a0+8(FP), SI
-	MOVQ a1+16(FP), DI
-	MOVQ b0+24(FP), R8
-	MOVQ b1+32(FP), R9
-	MOVQ b2+40(FP), R10
-	MOVQ b3+48(FP), R11
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), DX
+	SHLQ $3, DX
+	LEAQ (SI)(DX*1), DI
+	LEAQ (DI)(DX*1), BX
+	LEAQ (BX)(DX*1), R12
+	MOVQ b+24(FP), R8
+	MOVQ ldb+32(FP), DX
+	SHLQ $3, DX
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 	XORQ CX, CX
 	MOVQ AX, DX
 	ANDQ $-4, DX
@@ -39,34 +50,58 @@ quads:
 	// t
 	VBROADCASTSD (SI)(CX*8), Y12
 	VBROADCASTSD (DI)(CX*8), Y13
-	VMULPD Y12, Y4, Y14
-	VADDPD Y14, Y0, Y0
-	VMULPD Y13, Y4, Y15
-	VADDPD Y15, Y1, Y1
+	VBROADCASTSD (BX)(CX*8), Y14
+	VBROADCASTSD (R12)(CX*8), Y15
+	VMULPD Y12, Y4, Y12
+	VMULPD Y13, Y4, Y13
+	VMULPD Y14, Y4, Y14
+	VMULPD Y15, Y4, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
 
 	// t+1
 	VBROADCASTSD 8(SI)(CX*8), Y12
 	VBROADCASTSD 8(DI)(CX*8), Y13
-	VMULPD Y12, Y5, Y14
-	VADDPD Y14, Y0, Y0
-	VMULPD Y13, Y5, Y15
-	VADDPD Y15, Y1, Y1
+	VBROADCASTSD 8(BX)(CX*8), Y14
+	VBROADCASTSD 8(R12)(CX*8), Y15
+	VMULPD Y12, Y5, Y12
+	VMULPD Y13, Y5, Y13
+	VMULPD Y14, Y5, Y14
+	VMULPD Y15, Y5, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
 
 	// t+2
 	VBROADCASTSD 16(SI)(CX*8), Y12
 	VBROADCASTSD 16(DI)(CX*8), Y13
-	VMULPD Y12, Y6, Y14
-	VADDPD Y14, Y0, Y0
-	VMULPD Y13, Y6, Y15
-	VADDPD Y15, Y1, Y1
+	VBROADCASTSD 16(BX)(CX*8), Y14
+	VBROADCASTSD 16(R12)(CX*8), Y15
+	VMULPD Y12, Y6, Y12
+	VMULPD Y13, Y6, Y13
+	VMULPD Y14, Y6, Y14
+	VMULPD Y15, Y6, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
 
 	// t+3
 	VBROADCASTSD 24(SI)(CX*8), Y12
 	VBROADCASTSD 24(DI)(CX*8), Y13
-	VMULPD Y12, Y7, Y14
-	VADDPD Y14, Y0, Y0
-	VMULPD Y13, Y7, Y15
-	VADDPD Y15, Y1, Y1
+	VBROADCASTSD 24(BX)(CX*8), Y14
+	VBROADCASTSD 24(R12)(CX*8), Y15
+	VMULPD Y12, Y7, Y12
+	VMULPD Y13, Y7, Y13
+	VMULPD Y14, Y7, Y14
+	VMULPD Y15, Y7, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
 
 	ADDQ $4, CX
 	CMPQ CX, DX
@@ -82,22 +117,38 @@ tail:
 	VINSERTF128 $1, X5, Y4, Y4        // column t
 	VBROADCASTSD (SI)(CX*8), Y12
 	VBROADCASTSD (DI)(CX*8), Y13
-	VMULPD Y12, Y4, Y14
-	VADDPD Y14, Y0, Y0
-	VMULPD Y13, Y4, Y15
-	VADDPD Y15, Y1, Y1
+	VBROADCASTSD (BX)(CX*8), Y14
+	VBROADCASTSD (R12)(CX*8), Y15
+	VMULPD Y12, Y4, Y12
+	VMULPD Y13, Y4, Y13
+	VMULPD Y14, Y4, Y14
+	VMULPD Y15, Y4, Y15
+	VADDPD Y12, Y0, Y0
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y2, Y2
+	VADDPD Y15, Y3, Y3
 	INCQ CX
 	JMP  tail
 
 update:
-	MOVQ    c0+56(FP), SI
-	MOVQ    c1+64(FP), DI
+	MOVQ    c+40(FP), SI
+	MOVQ    ldc+48(FP), DX
+	SHLQ    $3, DX
 	VMOVUPD (SI), Y4
 	VSUBPD  Y0, Y4, Y4
 	VMOVUPD Y4, (SI)
-	VMOVUPD (DI), Y5
+	ADDQ    DX, SI
+	VMOVUPD (SI), Y5
 	VSUBPD  Y1, Y5, Y5
-	VMOVUPD Y5, (DI)
+	VMOVUPD Y5, (SI)
+	ADDQ    DX, SI
+	VMOVUPD (SI), Y6
+	VSUBPD  Y2, Y6, Y6
+	VMOVUPD Y6, (SI)
+	ADDQ    DX, SI
+	VMOVUPD (SI), Y7
+	VSUBPD  Y3, Y7, Y7
+	VMOVUPD Y7, (SI)
 	VZEROUPPER
 	RET
 

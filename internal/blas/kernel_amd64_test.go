@@ -29,7 +29,8 @@ func TestAVXUsable(t *testing.T) {
 }
 
 // useAVX is decided once per process, so kern's other branch is reached
-// only by flipping it here: the bitwise and the panic checks hold on both.
+// only by flipping it here: the bitwise, block-order and panic checks hold
+// on both.
 func TestKernBothSelections(t *testing.T) {
 	defer func(was bool) { useAVX = was }(useAVX)
 	for _, avx := range []bool{false, true} {
@@ -40,6 +41,7 @@ func TestKernBothSelections(t *testing.T) {
 		useAVX = avx
 		t.Run(fmt.Sprintf("avx=%v", avx), func(t *testing.T) {
 			t.Run("bitwise", TestKernBitwise)
+			t.Run("blockorder", TestGemmNTBlockOrderBits)
 			t.Run("panics", TestShortOperandPanics)
 		})
 	}

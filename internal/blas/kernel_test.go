@@ -183,3 +183,59 @@ func TestKernelsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// The micro-block's shape decides which elements of C the micro-kernel
+// computes, never how: each is +0 plus its k products in k order, then
+// subtracted from C once. So GemmNT, and SyrkLN on the micro-blocks wholly
+// below the diagonal, must give the bits of a per-element loop whatever
+// mr is. What the micro-blocks leave, GemmNT's m%mr rows and n%nr columns,
+// must give the bits of dot. The shapes are whole micro-blocks but for the
+// last, which leaves both rows and columns over.
+func TestGemmNTBlockOrderBits(t *testing.T) {
+	rng := xrand.New(19)
+	perElement := func(x, y []float64) float64 {
+		s := 0.0
+		for t := range x {
+			s += x[t] * y[t]
+		}
+		return s
+	}
+	same := func(got, want float64, what string, m, n, k, i, j int) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s m,n,k=%d,%d,%d: C[%d,%d] is %x (%g), reference has %x (%g)",
+				what, m, n, k, i, j, math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+	}
+	for _, s := range [][3]int{{4, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {14, 10, 33}} {
+		m, n, k := s[0], s[1], s[2]
+		a, lda := padded(&rng, m, k, math.NaN())
+		b, ldb := padded(&rng, n, k, math.NaN())
+		c, ldc := padded(&rng, m, n, guard)
+		c0 := slices.Clone(c)
+		GemmNT(m, n, k, a, lda, b, ldb, c, ldc)
+		for i := 0; i < m; i++ {
+			ai := a[i*lda : i*lda+k]
+			for j := 0; j < n; j++ {
+				bj := b[j*ldb : j*ldb+k]
+				want := c0[i*ldc+j] - dot(ai, bj)
+				if i < m-m%mr && j < n-n%nr {
+					want = c0[i*ldc+j] - perElement(ai, bj)
+				}
+				same(c[i*ldc+j], want, "gemm", m, n, k, i, j)
+			}
+		}
+
+		// SyrkLN on B: row i's micro-blocks wholly below the diagonal end
+		// at the nr-aligned column at or left of i.
+		c, ldc = padded(&rng, n, n, guard)
+		c0 = slices.Clone(c)
+		SyrkLN(n, k, b, ldb, c, ldc)
+		for i := 0; i < n-n%mr; i++ {
+			bi := b[i*ldb : i*ldb+k]
+			for j := 0; j < i-i%nr; j++ {
+				same(c[i*ldc+j], c0[i*ldc+j]-perElement(bi, b[j*ldb:j*ldb+k]), "syrk", n, n, k, i, j)
+			}
+		}
+	}
+}

@@ -86,8 +86,9 @@ func TestStaticFactorsCorrectly(t *testing.T) {
 
 // Same input, same kernel sequence per tile → bitwise equal factors from
 // every scheduler. The tile sizes cover the kernels' paths: 16 and 52 are
-// whole micro-blocks (52 with a ragged last tile of 44), 54 leaves two
-// columns over in every tile and makes the last one 39 rows, an odd count.
+// whole 4×4 micro-blocks (52 with a ragged last tile of 44, whole too), 54
+// leaves two rows and two columns over in every tile (54 % 4 = 2) and
+// makes the last one 39, an odd count with three over.
 func TestAllSchedulersAgree(t *testing.T) {
 	rt := xkaapi.New(xkaapi.WithWorkers(3))
 	defer rt.Close()

@@ -428,28 +428,6 @@ func (w *Worker) waitFrame(c *atomic.Int32) {
 	}
 }
 
-// waitCounter schedules ready work until *c drains to zero. Used for plain
-// shared counters with no owner-local half (the ForEach pending count);
-// frame drains go through waitFrame.
-func (w *Worker) waitCounter(c *atomic.Int32) {
-	idle := 0
-	for c.Load() != 0 {
-		if w.schedOnce() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle == 1 {
-			w.flushStats() // out of work: publish cached counters
-		}
-		if idle < idleSpinBeforeSleep {
-			runtime.Gosched()
-		} else {
-			time.Sleep(idleSleep) //xk:allow(hotpath): idle backoff — out of work by definition
-		}
-	}
-}
-
 const (
 	idleSpinBeforeSleep = 128
 	idleSleep           = 20 * time.Microsecond
@@ -668,7 +646,7 @@ func (w *Worker) run() {
 		// Cross-shard rebalancing is the last resort, tried only once the
 		// whole home shard (deque, inbox, steal sweep) came up empty: pull a
 		// queued root from a loaded sibling shard's inbox. Top level only —
-		// a worker waiting inside a frame (waitCounter) leans toward
+		// a worker waiting inside a frame (waitFrame) leans toward
 		// finishing the computation it is part of instead of opening a
 		// sibling shard's job.
 		if t := rt.stealRoot(); t != nil {
