@@ -16,7 +16,7 @@ set -eu
 echo "== gate: gofmt -l, go vet ./... (make fmt-check vet)"
 make fmt-check vet
 
-# On amd64 kern is chosen at init between AVX assembly and the portable Go
+# On amd64 kern is chosen at init between FMA assembly and the portable Go
 # kernel: only a non-amd64 build compiles kernel_generic.go.
 echo "== gate: GOARCH=arm64 go vet ./... (make cross)"
 make cross

@@ -32,6 +32,19 @@ var parseCases = []struct {
 			BytesPerOp: 16, AllocsPerOp: 2},
 		ok: true,
 	},
+	{
+		// A b.ReportMetric column (the blas benchmarks' GFlop/s) between
+		// MB/s and the memory columns is skipped like MB/s.
+		line: "BenchmarkGemmNT/n=128-2  100  206995 ns/op  1899.64 MB/s  20.27 GFlop/s  0 B/op  0 allocs/op",
+		want: BenchResult{Name: "BenchmarkGemmNT/n=128-2", Iterations: 100, NsPerOp: 206995},
+		ok:   true,
+	},
+	{
+		line: "BenchmarkPotrfLower  100  58584 ns/op  11.94 GFlop/s  16 B/op  2 allocs/op",
+		want: BenchResult{Name: "BenchmarkPotrfLower", Iterations: 100, NsPerOp: 58584,
+			BytesPerOp: 16, AllocsPerOp: 2},
+		ok: true,
+	},
 	{line: "goos: linux", ok: false},
 	{line: "PASS", ok: false},
 	{line: "ok  \txkaapi/internal/core\t2.153s", ok: false},
@@ -66,7 +79,7 @@ func FuzzParseBenchLine(f *testing.F) {
 	}
 	// make bench-json output, one line per package (internal/core, internal/blas).
 	f.Add("BenchmarkSpawnExecute \t    1000\t        63.97 ns/op\t       9 B/op\t       0 allocs/op")
-	f.Add("BenchmarkGemmNT/n=64         \t     100\t    196373 ns/op\t 500.60 MB/s\t       0 B/op\t       0 allocs/op")
+	f.Add("BenchmarkGemmNT/n=64         \t     100\t     27761 ns/op\t3541.11 MB/s\t        18.92 GFlop/s\t       0 B/op\t       0 allocs/op")
 	f.Fuzz(func(t *testing.T, line string) {
 		r, ok := parseBenchLine(line)
 		if !ok {

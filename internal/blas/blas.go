@@ -6,42 +6,44 @@
 //
 // # The micro-kernel
 //
-// All four level-3 kernels are built on one micro-kernel, kern: a 4×4
-// block of C minus the dot products of four rows of A with four rows of B.
-// Each element of A it loads feeds four products and each of B four, so a
-// multiply-add costs 0.5 loads. The NT layout makes both operands
+// All four level-3 kernels are built on one micro-kernel, kern: an 8×4
+// block of C minus the dot products of eight rows of A with four rows of
+// B. Each element of A it loads feeds four products and each of B eight,
+// so a multiply-add costs 0.375 loads. The NT layout makes both operands
 // k-contiguous, so the block runs along k over plain slices and nothing is
 // packed or copied. GemmNT cuts C into micro-blocks; SyrkLN cuts C the same
-// way below the diagonal and sends the one micro-block per four rows that
-// the diagonal crosses through a scratch block, so it never writes j > i;
-// TrsmRLTN eliminates the solved columns from each 4-column panel with
-// GemmNT and finishes the panel with a 4-wide triangular solve per row;
-// PotrfLower is left-looking over 16-column blocks, which puts nearly all
-// of its flops into the other three.
+// way below the diagonal and sends the two micro-blocks per eight rows
+// that the diagonal crosses through a scratch block, so it never writes
+// j > i; TrsmRLTN eliminates the solved columns from each 4-column panel
+// with GemmNT and finishes the panel with a 4-wide triangular solve per
+// row; PotrfLower is left-looking over 8-column blocks, which puts nearly
+// all of its flops into the other three.
 //
-// The micro-kernel exists twice, with identical bits: in portable Go
-// (kernGo, kernel.go), which is kern on every GOARCH but amd64
-// (kernel_generic.go) and on an amd64 CPU without AVX, and in AVX assembly
-// (kernel_amd64.s), which is kern on an amd64 CPU with AVX. The choice is
-// made once, at package init, from CPUID and XGETBV (kernel_amd64.go). The
-// assembly holds the sixteen sums as one 256-bit register per row of A,
-// transposes each 4×4 block of B it loads once for all four rows, and
-// does, lane by lane, the multiplies, adds and final subtractions of the
-// Go code (two 2×4 halves, whose eight sums fit in registers) in the same
-// order, with no fused multiply-add, so on amd64 the two agree bit for bit (TestKernBitwise checks it, NaN, ±Inf, ±0 and subnormals
-// included). Across GOARCHes no bits are promised: on arm64, ppc64 and
-// s390x the Go compiler may fuse a multiply and an add into one FMA. The
-// GOARCH and the CPU are the only selection — there is no option, flag,
-// build tag or environment variable — so every caller of a kernel gets
-// bitwise-identical results for identical inputs, whichever scheduler
-// made the call.
+// Every element of a micro-block is +0 plus its k products in k order,
+// subtracted from C once. The micro-kernel exists twice: in portable Go
+// (kernGo, kernel.go), which rounds each product before adding it and is
+// kern on every GOARCH but amd64 (kernel_generic.go) and on an amd64 CPU
+// without FMA; and in FMA assembly (kernel_amd64.s), which fuses each
+// multiply with its add, s = math.FMA(a, b, s), and is kern on an amd64 CPU
+// with FMA. So on an FMA CPU the bits are those of the fused chain, and
+// elsewhere kernGo's (TestKernBitwise checks kern against the one that
+// applies, NaN, ±Inf, ±0 and subnormals included). The choice is made once,
+// at package init, from CPUID and XGETBV (kernel_amd64.go). The assembly
+// holds the 32 sums as one 256-bit register per row of A and transposes
+// each 4×4 block of B it loads once for all eight rows, so eight
+// independent FMA chains hide the instruction's latency. Across GOARCHes
+// and CPUs no bits are promised: on arm64, ppc64 and s390x the Go compiler
+// may fuse a multiply and an add too. The GOARCH and the CPU are the only
+// selection — there is no option, flag, build tag or environment variable
+// — so within one process every caller of a kernel gets bitwise-identical
+// results for identical inputs, whichever scheduler made the call.
 //
 // What a micro-block does not cover takes a scalar dot-product path: the
-// m%4 last rows and n%4 last columns of GemmNT, the rows and columns of
-// SyrkLN short of a full micro-block, the n%4 last columns of TrsmRLTN, and
-// the 16×16 diagonal blocks PotrfLower factors entry by entry. With tile
-// sizes that are multiples of 4, those diagonal blocks are the only work
-// outside the micro-kernel.
+// m%8 last rows and n%4 last columns of GemmNT, the rows of SyrkLN short of
+// a full 8-row band, the n%4 last columns of TrsmRLTN, and the 8×8 diagonal
+// blocks PotrfLower factors entry by entry. With tile sizes that are
+// multiples of 8, those diagonal blocks are the only work outside the
+// micro-kernel.
 //
 // Each kernel has a naive reference twin in ref.go, the oracle of the tests.
 package blas
@@ -94,18 +96,18 @@ func SyrkLN(n, k int, a []float64, lda int, c []float64, ldc int) {
 			for ; j+nr <= i+1; j += nr {
 				kern(k, a[i*lda:], lda, a[j*lda:], lda, c[i*ldc+j:], ldc)
 			}
-			// The one micro-block the diagonal crosses goes through a
-			// zeroed scratch block, and only its j <= i part into C.
-			if j+nr <= n {
+			// The mr/nr micro-blocks the diagonal crosses go through a
+			// zeroed scratch block, and only their j <= i part into C; a
+			// block's rows above j-i lie wholly right of the diagonal.
+			for ; j < i+mr; j += nr {
 				var t [mr * nr]float64
 				kern(k, a[i*lda:], lda, a[j*lda:], lda, t[:], nr)
-				for r := 0; r < mr; r++ {
+				for r := j - i; r < mr; r++ {
 					cr := c[(i+r)*ldc+j : (i+r)*ldc+min(j+nr, i+r+1)]
 					for jj := range cr {
 						cr[jj] += t[r*nr+jj]
 					}
 				}
-				j += nr
 			}
 		}
 		// Rows and columns too few for a micro-block, entry by entry.
@@ -169,10 +171,12 @@ func trsmRagged(m, n int, l []float64, ldl int, b []float64, ldb int) {
 	}
 }
 
-// potrfNB is the block width of PotrfLower: wide enough that nearly all of
-// the flops land in GemmNT and TrsmRLTN, narrow enough that the scalar
-// factorization of the diagonal blocks stays a few percent of them.
-const potrfNB = 16
+// potrfNB is the block width of PotrfLower: one micro-block of rows, so
+// nearly all of the flops land in GemmNT and TrsmRLTN and the scalar
+// factorization of the diagonal blocks (n·potrfNB²/3 flops) stays well
+// under one percent of them at n = 128. Measured against 16 and 32 on
+// BenchmarkPotrfLower, 8 was the fastest.
+const potrfNB = 8
 
 // PotrfLower factors the n×n (lda) matrix in place as A = L·Lᵀ, storing L in
 // the lower triangle. The strict upper triangle is left untouched.

@@ -146,15 +146,40 @@ func kernOperand(rng *xrand.Rand, special bool) float64 {
 	return math.Copysign(math.Float64frombits(1+rng.Next()%(1<<52-1)), v)
 }
 
-// kern (on an amd64 CPU with AVX the assembly kernel) must equal kernGo
-// bit for bit, C's padding included, for every k up to 200 and with
-// special operands. The one exception is the NaN payload: any NaN equals
-// any NaN. An invalid operation (0×Inf, Inf−Inf) makes the default NaN,
-// and where it meets math.NaN() in an add, x86 keeps the first operand's
-// payload; Go leaves the operand order of a commutative add to the
-// compiler, and the race build swaps it. Every other value, ±0 included,
-// is still compared bit for bit.
+// fusedDot is +0 plus x[t]·y[t] in t order, each multiply fused with its
+// add: the sum kern takes for one element of its block where useFMA is set.
+func fusedDot(x, y []float64) float64 {
+	s := 0.0
+	for t := range x {
+		s = math.FMA(x[t], y[t], s)
+	}
+	return s
+}
+
+// kernFused is the micro-kernel as the fused per-element chain, each
+// element's fusedDot subtracted from C once: kern's oracle where useFMA is
+// set.
+func kernFused(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < mr; i++ {
+		for j := 0; j < nr; j++ {
+			c[i*ldc+j] -= fusedDot(a[i*lda:i*lda+k], b[j*ldb:j*ldb+k])
+		}
+	}
+}
+
+// kern must equal its oracle bit for bit, C's padding included, for every
+// k up to 200 and with special operands: on an amd64 CPU with FMA the
+// fused chain kernFused, elsewhere kernGo. The one exception is the NaN
+// payload: any NaN equals any NaN. An invalid operation (0×Inf, Inf−Inf)
+// makes the default NaN, and where it meets math.NaN(), x86 keeps the
+// first operand's payload; Go leaves the operand order of a commutative
+// add or product to the compiler, and the race build swaps it. Every
+// other value, ±0 included, is still compared bit for bit.
 func TestKernBitwise(t *testing.T) {
+	oracle, name := kernGo, "Go kernel"
+	if useFMA {
+		oracle, name = kernFused, "fused chain"
+	}
 	rng := xrand.New(17)
 	for k := 1; k <= 200; k++ {
 		for _, special := range []bool{false, true} {
@@ -173,11 +198,11 @@ func TestKernBitwise(t *testing.T) {
 			a, b, c := fill(mr, k, lda), fill(nr, k, ldb), fill(mr, nr, ldc)
 			want := slices.Clone(c)
 			kern(k, a, lda, b, ldb, c, ldc)
-			kernGo(k, a, lda, b, ldb, want, ldc)
+			oracle(k, a, lda, b, ldb, want, ldc)
 			for i := range c {
 				if math.Float64bits(c[i]) != math.Float64bits(want[i]) && !(math.IsNaN(c[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("k=%d special=%v: C element %d is %x (%g), Go kernel has %x (%g)",
-						k, special, i, math.Float64bits(c[i]), c[i], math.Float64bits(want[i]), want[i])
+					t.Fatalf("k=%d special=%v: C element %d is %x (%g), %s has %x (%g)",
+						k, special, i, math.Float64bits(c[i]), c[i], name, math.Float64bits(want[i]), want[i])
 				}
 			}
 		}
@@ -199,18 +224,18 @@ func TestShortOperandPanics(t *testing.T) {
 		inKern bool
 	}{
 		{"gemm: B has three rows of four", func() {
-			GemmNT(4, 4, 5, make([]float64, 20), 5, make([]float64, 15), 5, make([]float64, 16), 4)
+			GemmNT(8, 4, 5, make([]float64, 40), 5, make([]float64, 15), 5, make([]float64, 32), 4)
 		}, "runtime error: slice bounds out of range [:20] with capacity 15", true},
 		{"syrk: A one short of four rows", func() {
-			SyrkLN(4, 3, make([]float64, 11), 3, make([]float64, 16), 4)
+			SyrkLN(8, 3, make([]float64, 11), 3, make([]float64, 64), 8)
 		}, "runtime error: slice bounds out of range [:12] with capacity 11", true},
 		{"trsm: B one short", func() {
 			l := make([]float64, 64)
 			for i := 0; i < 8; i++ {
 				l[i*8+i] = 1
 			}
-			TrsmRLTN(4, 8, l, 8, make([]float64, 31), 8)
-		}, "runtime error: slice bounds out of range [:28] with capacity 27", true},
+			TrsmRLTN(8, 8, l, 8, make([]float64, 63), 8)
+		}, "runtime error: slice bounds out of range [:60] with capacity 59", true},
 		{"potrf: A one short", func() {
 			const n = 20
 			a := make([]float64, n*n)

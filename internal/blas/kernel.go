@@ -5,7 +5,7 @@ package blas
 
 // The micro-kernel's block of C: mr rows of A against nr rows of B.
 const (
-	mr = 4
+	mr = 8
 	nr = 4
 )
 
@@ -14,30 +14,35 @@ const (
 //
 //	C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
 //
-// with a, b and c starting at the block's first element. It runs as two
-// 2×4 halves, rows 0–1 and 2–3 (kern2x4), whose eight sums fit in
-// registers; every element's sum is taken in k order from +0 either way.
-// Each loaded element of A feeds nr products, each of B mr, so in the
-// assembly, which holds all sixteen sums, a multiply-add costs 0.5 loads
-// where a row-by-row dot product pays 2.
+// with a, b and c starting at the block's first element. It runs as four
+// 2×4 quarters, rows 0–1, 2–3, 4–5 and 6–7 (kern2x4), whose eight sums fit
+// in registers; every element's sum is taken in k order from +0, each
+// product rounded and then added, and subtracted from C once.
 //
 // kern is this function on every GOARCH but amd64 (kernel_generic.go) and
-// on an amd64 CPU without AVX. With AVX kern is the assembly in
-// kernel_amd64.s, which performs the same operations in the same order and
-// so produces the same bits; kernGo is then its oracle in the tests.
+// on an amd64 CPU without FMA. With FMA kern is the assembly in
+// kernel_amd64.s, which takes each element's sum in the same order from +0
+// but fuses every multiply with its add (s = math.FMA(a, b, s)), so its
+// bits are that fused chain's, not kernGo's. Each loaded element of A
+// feeds nr products there and each of B mr, so a multiply-add costs 0.375
+// loads where a row-by-row dot product pays 2.
 //
 // Every row of the block is sliced before the first element is read, so a
 // short operand panics before C is read or written.
 func kernGo(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	a0, a1, a2, a3 := a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
+	a4, a5, a6, a7 := a[4*lda:4*lda+k], a[5*lda:5*lda+k], a[6*lda:6*lda+k], a[7*lda:7*lda+k]
 	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
 	c0, c1, c2, c3 := c[:nr], c[ldc:ldc+nr], c[2*ldc:2*ldc+nr], c[3*ldc:3*ldc+nr]
+	c4, c5, c6, c7 := c[4*ldc:4*ldc+nr], c[5*ldc:5*ldc+nr], c[6*ldc:6*ldc+nr], c[7*ldc:7*ldc+nr]
 	kern2x4(a0, a1, b0, b1, b2, b3, c0, c1)
 	kern2x4(a2, a3, b0, b1, b2, b3, c2, c3)
+	kern2x4(a4, a5, b0, b1, b2, b3, c4, c5)
+	kern2x4(a6, a7, b0, b1, b2, b3, c6, c7)
 }
 
-// kern2x4 is half of kernGo: C rows c0, c1 minus the dot products of A rows
-// a0, a1 with B rows b0…b3, all of a0's length.
+// kern2x4 is a quarter of kernGo: C rows c0, c1 minus the dot products of
+// A rows a0, a1 with B rows b0…b3, all of a0's length.
 func kern2x4(a0, a1, b0, b1, b2, b3, c0, c1 []float64) {
 	a1 = a1[:len(a0)]
 	b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]

@@ -1,154 +1,121 @@
 #include "textflag.h"
 
-// func kernAVX(k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
+// func kernFMA(k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
 //
-// Sums: Yi = (si0, si1, si2, si3) for A row i, i = 0…3. Each product is
+// Sums: Yi = (si0, si1, si2, si3) for A row i, i = 0…7. Each product is
 // formed as (y·x), the column of B times the broadcast A element, and
-// added into its sum; the main loop does t…t+3 per trip, transposing the
-// 4×4 block of B it loads into four columns that all four rows use, and
-// the tail does the k%4 last t one at a time.
+// fused into its sum with one rounding; the main loop does t…t+3 per trip,
+// transposing the 4×4 block of B it loads into four columns (Y8…Y11) that
+// all eight rows use, and the tail does the k%4 last t one at a time.
 //
-// Registers: SI, DI, BX, R12 point at A's four rows and R8…R11 at B's;
-// AX is k, CX the index t, DX the bound of the main loop.
-TEXT ·kernAVX(SB), NOSPLIT, $0-56
+// Registers: SI points at A row 0 and DI at row 4, R8 at B row 0; all
+// three advance with t. BX is lda and R12 3·lda in bytes, so A's rows are
+// SI, SI+BX, SI+2·BX, SI+R12 and the same from DI; R9 and R10 are ldb and
+// 3·ldb, B's rows R8, R8+R9, R8+2·R9, R8+R10. AX is k, DX the trips left.
+// Y12…Y15 hold the broadcast elements of A.
+
+// STEP fuses column col (b0[t]…b3[t]) times A's eight elements at byte
+// offset off from the row pointers into the eight sums.
+#define STEP(off, col) \
+	VBROADCASTSD off(SI), Y12;       \
+	VBROADCASTSD off(SI)(BX*1), Y13; \
+	VBROADCASTSD off(SI)(BX*2), Y14; \
+	VBROADCASTSD off(SI)(R12*1), Y15; \
+	VFMADD231PD  Y12, col, Y0;       \
+	VFMADD231PD  Y13, col, Y1;       \
+	VFMADD231PD  Y14, col, Y2;       \
+	VFMADD231PD  Y15, col, Y3;       \
+	VBROADCASTSD off(DI), Y12;       \
+	VBROADCASTSD off(DI)(BX*1), Y13; \
+	VBROADCASTSD off(DI)(BX*2), Y14; \
+	VBROADCASTSD off(DI)(R12*1), Y15; \
+	VFMADD231PD  Y12, col, Y4;       \
+	VFMADD231PD  Y13, col, Y5;       \
+	VFMADD231PD  Y14, col, Y6;       \
+	VFMADD231PD  Y15, col, Y7
+
+// UPDATE subtracts sum from the C row at SI and moves SI to the next row.
+#define UPDATE(sum) \
+	VMOVUPD (SI), Y8;    \
+	VSUBPD  sum, Y8, Y8; \
+	VMOVUPD Y8, (SI);    \
+	ADDQ    DX, SI
+
+TEXT ·kernFMA(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), AX
 	MOVQ a+8(FP), SI
-	MOVQ lda+16(FP), DX
-	SHLQ $3, DX
-	LEAQ (SI)(DX*1), DI
-	LEAQ (DI)(DX*1), BX
-	LEAQ (BX)(DX*1), R12
+	MOVQ lda+16(FP), BX
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), R12
+	LEAQ (SI)(BX*4), DI
 	MOVQ b+24(FP), R8
-	MOVQ ldb+32(FP), DX
-	SHLQ $3, DX
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
+	MOVQ ldb+32(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	XORQ CX, CX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 	MOVQ AX, DX
-	ANDQ $-4, DX
+	SHRQ $2, DX
 	JZ   tail
 
 quads:
-	VMOVUPD (R8)(CX*8), Y4            // b0[t:t+4]
-	VMOVUPD (R9)(CX*8), Y5            // b1[t:t+4]
-	VMOVUPD (R10)(CX*8), Y6           // b2[t:t+4]
-	VMOVUPD (R11)(CX*8), Y7           // b3[t:t+4]
-	VUNPCKLPD Y5, Y4, Y8              // (b0[t], b1[t], b0[t+2], b1[t+2])
-	VUNPCKHPD Y5, Y4, Y9              // (b0[t+1], b1[t+1], b0[t+3], b1[t+3])
-	VUNPCKLPD Y7, Y6, Y10             // (b2[t], b3[t], b2[t+2], b3[t+2])
-	VUNPCKHPD Y7, Y6, Y11             // (b2[t+1], b3[t+1], b2[t+3], b3[t+3])
-	VPERM2F128 $0x20, Y10, Y8, Y4     // column t
-	VPERM2F128 $0x20, Y11, Y9, Y5     // column t+1
-	VPERM2F128 $0x31, Y10, Y8, Y6     // column t+2
-	VPERM2F128 $0x31, Y11, Y9, Y7     // column t+3
-
-	// t
-	VBROADCASTSD (SI)(CX*8), Y12
-	VBROADCASTSD (DI)(CX*8), Y13
-	VBROADCASTSD (BX)(CX*8), Y14
-	VBROADCASTSD (R12)(CX*8), Y15
-	VMULPD Y12, Y4, Y12
-	VMULPD Y13, Y4, Y13
-	VMULPD Y14, Y4, Y14
-	VMULPD Y15, Y4, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-
-	// t+1
-	VBROADCASTSD 8(SI)(CX*8), Y12
-	VBROADCASTSD 8(DI)(CX*8), Y13
-	VBROADCASTSD 8(BX)(CX*8), Y14
-	VBROADCASTSD 8(R12)(CX*8), Y15
-	VMULPD Y12, Y5, Y12
-	VMULPD Y13, Y5, Y13
-	VMULPD Y14, Y5, Y14
-	VMULPD Y15, Y5, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-
-	// t+2
-	VBROADCASTSD 16(SI)(CX*8), Y12
-	VBROADCASTSD 16(DI)(CX*8), Y13
-	VBROADCASTSD 16(BX)(CX*8), Y14
-	VBROADCASTSD 16(R12)(CX*8), Y15
-	VMULPD Y12, Y6, Y12
-	VMULPD Y13, Y6, Y13
-	VMULPD Y14, Y6, Y14
-	VMULPD Y15, Y6, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-
-	// t+3
-	VBROADCASTSD 24(SI)(CX*8), Y12
-	VBROADCASTSD 24(DI)(CX*8), Y13
-	VBROADCASTSD 24(BX)(CX*8), Y14
-	VBROADCASTSD 24(R12)(CX*8), Y15
-	VMULPD Y12, Y7, Y12
-	VMULPD Y13, Y7, Y13
-	VMULPD Y14, Y7, Y14
-	VMULPD Y15, Y7, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-
-	ADDQ $4, CX
-	CMPQ CX, DX
-	JLT  quads
+	VMOVUPD (R8), Y8                  // b0[t:t+4]
+	VMOVUPD (R8)(R9*1), Y9            // b1[t:t+4]
+	VMOVUPD (R8)(R9*2), Y10           // b2[t:t+4]
+	VMOVUPD (R8)(R10*1), Y11          // b3[t:t+4]
+	VUNPCKLPD Y9, Y8, Y12             // (b0[t], b1[t], b0[t+2], b1[t+2])
+	VUNPCKHPD Y9, Y8, Y13             // (b0[t+1], b1[t+1], b0[t+3], b1[t+3])
+	VUNPCKLPD Y11, Y10, Y14           // (b2[t], b3[t], b2[t+2], b3[t+2])
+	VUNPCKHPD Y11, Y10, Y15           // (b2[t+1], b3[t+1], b2[t+3], b3[t+3])
+	VPERM2F128 $0x20, Y14, Y12, Y8    // column t
+	VPERM2F128 $0x20, Y15, Y13, Y9    // column t+1
+	VPERM2F128 $0x31, Y14, Y12, Y10   // column t+2
+	VPERM2F128 $0x31, Y15, Y13, Y11   // column t+3
+	STEP(0, Y8)
+	STEP(8, Y9)
+	STEP(16, Y10)
+	STEP(24, Y11)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	DECQ DX
+	JNZ  quads
 
 tail:
-	CMPQ CX, AX
-	JGE  update
-	VMOVSD  (R8)(CX*8), X4
-	VMOVHPD (R9)(CX*8), X4, X4        // (b0[t], b1[t])
-	VMOVSD  (R10)(CX*8), X5
-	VMOVHPD (R11)(CX*8), X5, X5       // (b2[t], b3[t])
-	VINSERTF128 $1, X5, Y4, Y4        // column t
-	VBROADCASTSD (SI)(CX*8), Y12
-	VBROADCASTSD (DI)(CX*8), Y13
-	VBROADCASTSD (BX)(CX*8), Y14
-	VBROADCASTSD (R12)(CX*8), Y15
-	VMULPD Y12, Y4, Y12
-	VMULPD Y13, Y4, Y13
-	VMULPD Y14, Y4, Y14
-	VMULPD Y15, Y4, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-	INCQ CX
-	JMP  tail
+	ANDQ $3, AX
+	JZ   update
+
+single:
+	VMOVSD  (R8), X8
+	VMOVHPD (R8)(R9*1), X8, X8        // (b0[t], b1[t])
+	VMOVSD  (R8)(R9*2), X9
+	VMOVHPD (R8)(R10*1), X9, X9       // (b2[t], b3[t])
+	VINSERTF128 $1, X9, Y8, Y8        // column t
+	STEP(0, Y8)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $8, R8
+	DECQ AX
+	JNZ  single
 
 update:
-	MOVQ    c+40(FP), SI
-	MOVQ    ldc+48(FP), DX
-	SHLQ    $3, DX
-	VMOVUPD (SI), Y4
-	VSUBPD  Y0, Y4, Y4
-	VMOVUPD Y4, (SI)
-	ADDQ    DX, SI
-	VMOVUPD (SI), Y5
-	VSUBPD  Y1, Y5, Y5
-	VMOVUPD Y5, (SI)
-	ADDQ    DX, SI
-	VMOVUPD (SI), Y6
-	VSUBPD  Y2, Y6, Y6
-	VMOVUPD Y6, (SI)
-	ADDQ    DX, SI
-	VMOVUPD (SI), Y7
-	VSUBPD  Y3, Y7, Y7
-	VMOVUPD Y7, (SI)
+	MOVQ c+40(FP), SI
+	MOVQ ldc+48(FP), DX
+	SHLQ $3, DX
+	UPDATE(Y0)
+	UPDATE(Y1)
+	UPDATE(Y2)
+	UPDATE(Y3)
+	UPDATE(Y4)
+	UPDATE(Y5)
+	UPDATE(Y6)
+	UPDATE(Y7)
 	VZEROUPPER
 	RET
 

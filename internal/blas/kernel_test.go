@@ -186,14 +186,19 @@ func TestKernelsDeterministic(t *testing.T) {
 
 // The micro-block's shape decides which elements of C the micro-kernel
 // computes, never how: each is +0 plus its k products in k order, then
-// subtracted from C once. So GemmNT, and SyrkLN on the micro-blocks wholly
-// below the diagonal, must give the bits of a per-element loop whatever
-// mr is. What the micro-blocks leave, GemmNT's m%mr rows and n%nr columns,
-// must give the bits of dot. The shapes are whole micro-blocks but for the
-// last, which leaves both rows and columns over.
+// subtracted from C once, every multiply fused with its add where kern is
+// kernFMA and rounded before it where kern is kernGo. So GemmNT, and SyrkLN
+// on the micro-blocks wholly below the diagonal, must give the bits of a
+// per-element loop whatever mr is. What the micro-blocks leave, GemmNT's
+// m%mr rows and n%nr columns, must give the bits of dot. The shapes are
+// whole micro-blocks but for the last two: 12×24 leaves four rows over, on
+// the boundary a 4-row block had not, and 14×10 leaves rows and columns.
 func TestGemmNTBlockOrderBits(t *testing.T) {
 	rng := xrand.New(19)
 	perElement := func(x, y []float64) float64 {
+		if useFMA {
+			return fusedDot(x, y)
+		}
 		s := 0.0
 		for t := range x {
 			s += x[t] * y[t]
@@ -207,7 +212,7 @@ func TestGemmNTBlockOrderBits(t *testing.T) {
 				what, m, n, k, i, j, math.Float64bits(got), got, math.Float64bits(want), want)
 		}
 	}
-	for _, s := range [][3]int{{4, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {14, 10, 33}} {
+	for _, s := range [][3]int{{8, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {12, 24, 67}, {14, 10, 33}} {
 		m, n, k := s[0], s[1], s[2]
 		a, lda := padded(&rng, m, k, math.NaN())
 		b, ldb := padded(&rng, n, k, math.NaN())
@@ -227,13 +232,13 @@ func TestGemmNTBlockOrderBits(t *testing.T) {
 		}
 
 		// SyrkLN on B: row i's micro-blocks wholly below the diagonal end
-		// at the nr-aligned column at or left of i.
+		// at the first column of its mr-row band.
 		c, ldc = padded(&rng, n, n, guard)
 		c0 = slices.Clone(c)
 		SyrkLN(n, k, b, ldb, c, ldc)
 		for i := 0; i < n-n%mr; i++ {
 			bi := b[i*ldb : i*ldb+k]
-			for j := 0; j < i-i%nr; j++ {
+			for j := 0; j < i-i%mr; j++ {
 				same(c[i*ldc+j], c0[i*ldc+j]-perElement(bi, b[j*ldb:j*ldb+k]), "syrk", n, n, k, i, j)
 			}
 		}

@@ -85,10 +85,11 @@ func TestStaticFactorsCorrectly(t *testing.T) {
 }
 
 // Same input, same kernel sequence per tile → bitwise equal factors from
-// every scheduler. The tile sizes cover the kernels' paths: 16 and 52 are
-// whole 4×4 micro-blocks (52 with a ragged last tile of 44, whole too), 54
-// leaves two rows and two columns over in every tile (54 % 4 = 2) and
-// makes the last one 39, an odd count with three over.
+// every scheduler. The tile sizes cover the kernels' paths against the 8×4
+// micro-block: 16 is whole blocks; 52 and its ragged last tile of 44 are
+// whole in columns but leave four rows over (52 % 8 = 44 % 8 = 4); 54
+// leaves six rows and two columns over in every tile and makes the last
+// one 39, an odd count with seven rows and three columns over.
 func TestAllSchedulersAgree(t *testing.T) {
 	rt := xkaapi.New(xkaapi.WithWorkers(3))
 	defer rt.Close()
