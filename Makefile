@@ -43,9 +43,11 @@ vet:
 # cross vets the module for arm64. On amd64 the blas 8×4 micro-kernel is
 # FMA assembly (internal/blas/kernel_amd64.s) chosen at init over the
 # portable Go kernel, which amd64 compiles too and runs on CPUs without
-# FMA; only a non-amd64 build compiles kernel_generic.go and
-# kernel_generic_test.go, the kern every other GOARCH runs. vet
-# type-checks them (and every test) without a cross toolchain or a network.
+# FMA, and an 8×8 AVX-512 panel kernel joins it where the CPU has
+# AVX-512; only a non-amd64 build compiles kernel_generic.go (the kern
+# every other GOARCH runs, and useAVX512 = false, so no panel path) and
+# kernel_generic_test.go. vet type-checks them (and every test) without a
+# cross toolchain or a network.
 .PHONY: cross
 cross:
 	GOARCH=arm64 $(GO) vet ./...

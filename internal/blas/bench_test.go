@@ -36,6 +36,27 @@ func BenchmarkGemmNT(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNTCold is BenchmarkGemmNT at n = 128 with its operands out
+// of cache: it cycles through 48 triples of tiles, 18 MB, well past L2,
+// as the tile tasks of a Cholesky meet theirs. Reusing one triple, as
+// BenchmarkGemmNT does, reads the kernel's rate on warm operands.
+func BenchmarkGemmNTCold(b *testing.B) {
+	const n, triples = 128, 48
+	rng := xrand.New(6)
+	var tiles [triples][3][]float64
+	for i := range tiles {
+		for j := range tiles[i] {
+			tiles[i][j] = randMat(&rng, n*n)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &tiles[i%triples]
+		GemmNT(n, n, n, t[0], n, t[1], n, t[2], n)
+	}
+	reportGFlops(b, 2*n*n*n)
+}
+
 func BenchmarkSyrkLN(b *testing.B) {
 	const n = 128
 	rng := xrand.New(3)

@@ -38,12 +38,28 @@
 // — so within one process every caller of a kernel gets bitwise-identical
 // results for identical inputs, whichever scheduler made the call.
 //
+// # The panel path
+//
+// On an amd64 CPU with AVX-512 (decided at init like FMA, and only where
+// FMA is used too) GemmNT and SyrkLN take a second block for most of C: an
+// 8×8 block, kernPanel, over B packed into k-major panels. GemmNT packs
+// each 8-row panel of B once into a 16 KB stack buffer (so k ≤ 256) and
+// runs the block over every 8-row block of A; SyrkLN does the same for its
+// blocks wholly below the diagonal. Per k-step the block loads one 8-wide
+// row of the panel and fuses it, times each of A's eight elements
+// broadcast from memory, into one 512-bit sum per row of A: twice kern's
+// products per load and no shuffle. Each element is the same fused chain
+// as kernFMA's, so the panel path moves no bit: GemmNT, SyrkLN and the
+// Cholesky give the same results with it as without it. What it leaves —
+// a trailing n%8 = 4 column block, the blocks the diagonal crosses and
+// every call with k > 256 — runs on kern as before.
+//
 // What a micro-block does not cover takes a scalar dot-product path: the
 // m%8 last rows and n%4 last columns of GemmNT, the rows of SyrkLN short of
 // a full 8-row band, the n%4 last columns of TrsmRLTN, and the 8×8 diagonal
 // blocks PotrfLower factors entry by entry. With tile sizes that are
 // multiples of 8, those diagonal blocks are the only work outside the
-// micro-kernel.
+// micro-kernels.
 //
 // Each kernel has a naive reference twin in ref.go, the oracle of the tests.
 package blas
@@ -65,8 +81,14 @@ func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		return
 	}
 	mm, nn := m-m%mr, n-n%nr
+	// The columns left of j0 go by panels where the panel path applies.
+	j0 := 0
+	if usePanels(mm, n, k) {
+		j0 = n - n%panelN
+		gemmPanels(mm, j0, k, a, lda, b, ldb, c, ldc, false)
+	}
 	for i := 0; i < mm; i += mr {
-		for j := 0; j < nn; j += nr {
+		for j := j0; j < nn; j += nr {
 			kern(k, a[i*lda:], lda, b[j*ldb:], ldb, c[i*ldc+j:], ldc)
 		}
 	}
@@ -89,9 +111,19 @@ func SyrkLN(n, k int, a []float64, lda int, c []float64, ldc int) {
 	if k <= 0 {
 		return
 	}
+	// The blocks wholly below the diagonal, columns 0…i-1 of each full
+	// band i after the first, go by panels where the panel path applies.
+	nb := n - n%mr
+	panels := usePanels(nb-mr, nb-mr, k)
+	if panels {
+		gemmPanels(nb, nb-mr, k, a, lda, a, lda, c, ldc, true)
+	}
 	for i := 0; i < n; i += mr {
 		j := 0
 		if i+mr <= n {
+			if panels {
+				j = i
+			}
 			// Micro-blocks wholly on or below the diagonal: j+nr-1 <= i.
 			for ; j+nr <= i+1; j += nr {
 				kern(k, a[i*lda:], lda, a[j*lda:], lda, c[i*ldc+j:], ldc)
@@ -116,6 +148,33 @@ func SyrkLN(n, k int, a []float64, lda int, c []float64, ldc int) {
 			for jj := j; jj <= r; jj++ {
 				c[r*ldc+jj] -= dot(ar, a[jj*lda:jj*lda+k])
 			}
+		}
+	}
+}
+
+// usePanels says whether GemmNT's or SyrkLN's panel path takes an m×n
+// region of C at depth k: where the CPU has AVX-512, the region holds at
+// least one 8×8 block, and a packed panel fits its buffer.
+func usePanels(m, n, k int) bool {
+	return useAVX512 && m >= mr && n >= panelN && k <= panelK
+}
+
+// gemmPanels is the panel path: C -= A · Bᵀ over an m×n region, m a
+// multiple of mr and n of panelN, each panel of panelN rows of B packed
+// once and run through kernPanel against every mr-row block of A. With
+// lower, SyrkLN's case, panel j meets only the blocks of A below row
+// j+panelN. The 16 KB panel buffer lives here, so callers that take no
+// panel do not pay for clearing it.
+func gemmPanels(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, lower bool) {
+	var p [panelK * panelN]float64
+	for j := 0; j < n; j += panelN {
+		packPanel(k, b[j*ldb:], ldb, &p)
+		i := 0
+		if lower {
+			i = j + panelN
+		}
+		for ; i < m; i += mr {
+			kernPanel(k, a[i*lda:], lda, &p, c[i*ldc+j:], ldc)
 		}
 	}
 }

@@ -168,20 +168,31 @@ func kernFused(k int, a []float64, lda int, b []float64, ldb int, c []float64, l
 }
 
 // kern must equal its oracle bit for bit, C's padding included, for every
-// k up to 200 and with special operands: on an amd64 CPU with FMA the
-// fused chain kernFused, elsewhere kernGo. The one exception is the NaN
-// payload: any NaN equals any NaN. An invalid operation (0×Inf, Inf−Inf)
-// makes the default NaN, and where it meets math.NaN(), x86 keeps the
-// first operand's payload; Go leaves the operand order of a commutative
-// add or product to the compiler, and the race build swaps it. Every
-// other value, ±0 included, is still compared bit for bit.
+// k up to panelK and with special operands: on an amd64 CPU with FMA the
+// fused chain kernFused, elsewhere kernGo. Where useAVX512 is set the 8×8
+// panel block, kernPanel over a panel packPanel packed, must equal
+// kernFused on each of its two 8×4 halves the same way. The one exception
+// is the NaN payload: any NaN equals any NaN. An invalid operation (0×Inf,
+// Inf−Inf) makes the default NaN, and where it meets math.NaN(), x86 keeps
+// the first operand's payload; Go leaves the operand order of a commutative
+// add or product to the compiler, and the race build swaps it. Every other
+// value, ±0 included, is still compared bit for bit.
 func TestKernBitwise(t *testing.T) {
 	oracle, name := kernGo, "Go kernel"
 	if useFMA {
 		oracle, name = kernFused, "fused chain"
 	}
 	rng := xrand.New(17)
-	for k := 1; k <= 200; k++ {
+	same := func(got, want []float64, what string, k int, special bool) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%s k=%d special=%v: C element %d is %x (%g), %s has %x (%g)", what, k, special,
+					i, math.Float64bits(got[i]), got[i], name, math.Float64bits(want[i]), want[i])
+			}
+		}
+	}
+	for k := 1; k <= panelK; k++ {
 		for _, special := range []bool{false, true} {
 			fill := func(rows, cols, ld int) []float64 {
 				x := make([]float64, rows*ld)
@@ -199,12 +210,20 @@ func TestKernBitwise(t *testing.T) {
 			want := slices.Clone(c)
 			kern(k, a, lda, b, ldb, c, ldc)
 			oracle(k, a, lda, b, ldb, want, ldc)
-			for i := range c {
-				if math.Float64bits(c[i]) != math.Float64bits(want[i]) && !(math.IsNaN(c[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("k=%d special=%v: C element %d is %x (%g), %s has %x (%g)",
-						k, special, i, math.Float64bits(c[i]), c[i], name, math.Float64bits(want[i]), want[i])
-				}
+			same(c, want, "kern", k, special)
+
+			if !useAVX512 {
+				continue
 			}
+			ldc = panelN + int(rng.Next()%4)
+			b, c = fill(panelN, k, ldb), fill(mr, panelN, ldc)
+			want = slices.Clone(c)
+			var p [panelK * panelN]float64
+			packPanel(k, b, ldb, &p)
+			kernPanel(k, a, lda, &p, c, ldc)
+			kernFused(k, a, lda, b, ldb, want, ldc)
+			kernFused(k, a, lda, b[nr*ldb:], ldb, want[nr:], ldc)
+			same(c, want, "panel", k, special)
 		}
 	}
 }
@@ -257,6 +276,43 @@ func TestShortOperandPanics(t *testing.T) {
 				}
 			}()
 			tc.call()
+		})
+	}
+
+	// An 8×8 GemmNT at k = 5 is one panel where useAVX512 is set: with A,
+	// B or C one element short it panics in packPanel's or kernPanel's
+	// slicing, before any element of C changes. Elsewhere it is two kern
+	// blocks, and a short B or C row is read by the second only, after
+	// the first has updated its four columns; a short A row is read by
+	// the first, so that case leaves C whole under every selection.
+	const k = 5
+	panel := []struct {
+		name       string
+		la, lb, lc int
+		kern, pan  string // the bounds the panic names without and with the panel path
+	}{
+		{"gemm n=8: A one short", 8*k - 1, 8 * k, 64, "[:40] with capacity 39", "[:40] with capacity 39"},
+		{"gemm n=8: B one short", 8 * k, 8*k - 1, 64, "[:20] with capacity 19", "[:40] with capacity 39"},
+		{"gemm n=8: C one short", 8 * k, 8 * k, 63, "[:60] with capacity 59", "[:64] with capacity 63"},
+	}
+	for _, tc := range panel {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(23)
+			a, b, c := randMat(&rng, tc.la), randMat(&rng, tc.lb), randMat(&rng, tc.lc)
+			c0 := slices.Clone(c)
+			want := "runtime error: slice bounds out of range " + tc.kern
+			if useAVX512 {
+				want = "runtime error: slice bounds out of range " + tc.pan
+			}
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("panic %q, want %q", got, want)
+				}
+				if (useAVX512 || tc.la < 8*k) && !slices.Equal(c, c0) {
+					t.Fatal("C changed before the panic")
+				}
+			}()
+			GemmNT(8, 8, k, a, k, b, k, c, 8)
 		})
 	}
 }

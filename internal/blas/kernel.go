@@ -3,10 +3,14 @@
 
 package blas
 
-// The micro-kernel's block of C: mr rows of A against nr rows of B.
+// The micro-kernel's block of C: mr rows of A against nr rows of B. The
+// panel path's block is mr rows of A against panelN rows of B, packed for
+// k up to panelK.
 const (
-	mr = 8
-	nr = 4
+	mr     = 8
+	nr     = 4
+	panelN = 8
+	panelK = 256
 )
 
 // kernGo is the micro-kernel all four level-3 kernels are built on, in
@@ -25,7 +29,9 @@ const (
 // but fuses every multiply with its add (s = math.FMA(a, b, s)), so its
 // bits are that fused chain's, not kernGo's. Each loaded element of A
 // feeds nr products there and each of B mr, so a multiply-add costs 0.375
-// loads where a row-by-row dot product pays 2.
+// loads where a row-by-row dot product pays 2. Where the CPU has AVX-512
+// too, GemmNT and SyrkLN run most of C through kernPanel instead, an 8×8
+// block over packed B with the same fused bits, and kern takes the rest.
 //
 // Every row of the block is sliced before the first element is read, so a
 // short operand panics before C is read or written.
@@ -68,6 +74,22 @@ func kern2x4(a0, a1, b0, b1, b2, b3, c0, c1 []float64) {
 	c1[1] -= s11
 	c1[2] -= s12
 	c1[3] -= s13
+}
+
+// packPanel copies B's first panelN rows, k elements each, into p as k
+// rows of panelN: p[t*panelN+j] = B[j][t], the panel kernPanel reads. It
+// writes each row of p whole, from the eight rows of B sliced up front, so
+// a short B panics before p is written. k must be at most panelK.
+func packPanel(k int, b []float64, ldb int, p *[panelK * panelN]float64) {
+	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
+	b4, b5, b6, b7 := b[4*ldb:4*ldb+k], b[5*ldb:5*ldb+k], b[6*ldb:6*ldb+k], b[7*ldb:7*ldb+k]
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	b4, b5, b6, b7 = b4[:len(b0)], b5[:len(b0)], b6[:len(b0)], b7[:len(b0)]
+	for t, x := range b0 {
+		q := (*[panelN]float64)(p[t*panelN:])
+		q[0], q[1], q[2], q[3] = x, b1[t], b2[t], b3[t]
+		q[4], q[5], q[6], q[7] = b4[t], b5[t], b6[t], b7[t]
+	}
 }
 
 // dot is the scalar path for what the micro-kernel does not cover: the

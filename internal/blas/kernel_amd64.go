@@ -3,9 +3,11 @@
 
 package blas
 
-// useFMA selects kernFMA over kernGo. It is decided once, when the package
-// is initialised, from what the CPU and the OS report.
-var useFMA = hasFMA()
+// useFMA selects kernFMA over kernGo, and useAVX512 has GemmNT and SyrkLN
+// run their 8-column panels through kernPanel. Both are decided once, when
+// the package is initialised, from what the CPU and the OS report; the
+// second implies the first.
+var useFMA, useAVX512 = cpuSupport()
 
 // kern is the micro-kernel, C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
 // (see kernGo), run by kernFMA where the CPU has FMA and by kernGo where it
@@ -15,7 +17,8 @@ var useFMA = hasFMA()
 // process, so every caller gets identical bits for identical inputs. It
 // first takes every row slice of the block that kernGo takes, so an
 // operand too short for the block panics with kernGo's index error before
-// any element is read or written.
+// any element is read or written. Where useAVX512 is set, GemmNT and
+// SyrkLN give kern only what their panel path leaves (see kernPanel).
 func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if !useFMA {
 		kernGo(k, a, lda, b, ldb, c, ldc)
@@ -33,28 +36,66 @@ func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc in
 	}
 }
 
+// kernPanel is the 8×8 block of GemmNT's and SyrkLN's panel path,
+//
+//	C[0:mr, 0:panelN] -= A[0:mr, 0:k] · B[0:panelN, 0:k]ᵀ
+//
+// with B packed by packPanel into p, so B's eight rows are p's k-major
+// columns. Each element is the fused chain kernFMA takes, s = math.FMA(a,
+// b, s) from +0 in k order, subtracted from C once, so a panel's bits are
+// those of the two 8×4 blocks kern would give. It first takes every row
+// slice of A and C that two kern calls would, and p's first k rows, so a
+// short operand panics with a Go index error before any element is read
+// or written. k must be positive.
+func kernPanel(k int, a []float64, lda int, p *[panelK * panelN]float64, c []float64, ldc int) {
+	_, _, _, _ = a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
+	_, _, _, _ = a[4*lda:4*lda+k], a[5*lda:5*lda+k], a[6*lda:6*lda+k], a[7*lda:7*lda+k]
+	_, _, _, _ = c[:panelN], c[ldc:ldc+panelN], c[2*ldc:2*ldc+panelN], c[3*ldc:3*ldc+panelN]
+	_, _, _, _ = c[4*ldc:4*ldc+panelN], c[5*ldc:5*ldc+panelN], c[6*ldc:6*ldc+panelN], c[7*ldc:7*ldc+panelN]
+	_ = p[:k*panelN]
+	kernAVX512(k, &a[0], lda, &p[0], &c[0], ldc)
+}
+
+// kernAVX512 is kernPanel on eight-lane registers. Sum register i holds
+// row i of the block; per k-step one load of the panel's 8-wide row t is
+// fused, times each of A's eight elements broadcast from memory, into the
+// eight sums, so eight independent chains hide the FMA latency and no
+// shuffle is needed. The C block is prefetched before the k loop and read
+// after it. a points at the block's first element of A, whose rows are lda
+// elements apart, p at the packed panel and c at the block's first element
+// of C, whose rows are ldc apart; k must be positive and every row in
+// range, which kernPanel has checked.
+//
+//go:noescape
+func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int)
+
 // kernFMA is the micro-kernel on four-lane FMA registers. Lane j of sum
 // register i is sij: ai[t] broadcast times (b0[t], b1[t], b2[t], b3[t])
 // fused into it with one rounding, for the eight rows of A at once, so
 // each transpose of a 4×4 block of B feeds all 32 sums and eight
-// independent chains hide the FMA latency. The sums are taken in k order
-// from +0 and C is updated with one subtraction per element. a, b and c
-// point at the block's first element of A, B and C, whose rows are lda,
-// ldb and ldc elements apart; k must be positive and every row in range,
-// which kern has checked.
+// independent chains hide the FMA latency; kernAVX512 takes the same
+// chains eight lanes wide over a packed B, with no transpose at all. The
+// sums are taken in k order from +0 and C is updated with one subtraction
+// per element. a, b and c point at the block's first element of A, B and
+// C, whose rows are lda, ldb and ldc elements apart; k must be positive
+// and every row in range, which kern has checked.
 //
 //go:noescape
 func kernFMA(k int, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
 
 // CPUID leaf 1 ECX and XCR0 bits that together say FMA can be used: the
 // CPU has FMA and AVX, the OS saves registers with XSAVE, and XSAVE covers
-// both the XMM and the upper YMM halves.
+// both the XMM and the upper YMM halves. AVX-512 needs on top of them
+// CPUID leaf 7 EBX's AVX512F bit and XSAVE of the opmask registers, the
+// upper halves of ZMM0–15 and all of ZMM16–31.
 const (
-	cpuidFMA     = 1 << 12
-	cpuidOSXSAVE = 1 << 27
-	cpuidAVX     = 1 << 28
-	xcr0SSE      = 1 << 1
-	xcr0AVX      = 1 << 2
+	cpuidFMA      = 1 << 12
+	cpuidOSXSAVE  = 1 << 27
+	cpuidAVX      = 1 << 28
+	cpuid7AVX512F = 1 << 16
+	xcr0SSE       = 1 << 1
+	xcr0AVX       = 1 << 2
+	xcr0AVX512    = 0b111 << 5
 )
 
 // fmaUsable is the decision on the bits: ecx is CPUID leaf 1's ECX, xcr0
@@ -64,18 +105,30 @@ func fmaUsable(ecx, xcr0 uint32) bool {
 	return ecx&need == need && xcr0&(xcr0SSE|xcr0AVX) == xcr0SSE|xcr0AVX
 }
 
-// hasFMA reads the bits fmaUsable decides on.
-func hasFMA() bool {
-	ecx := cpuid1ECX()
-	var xcr0 uint32
-	if ecx&cpuidOSXSAVE != 0 {
-		xcr0 = xgetbv0()
-	}
-	return fmaUsable(ecx, xcr0)
+// avx512Usable decides on AVX-512 as fmaUsable does on FMA, which it
+// requires: maxLeaf is CPUID leaf 0's EAX, and ebx7, leaf 7's EBX, is only
+// read when maxLeaf reaches 7.
+func avx512Usable(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
+	return fmaUsable(ecx1, xcr0) && maxLeaf >= 7 &&
+		ebx7&cpuid7AVX512F != 0 && xcr0&xcr0AVX512 == xcr0AVX512
 }
 
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
+// cpuSupport reads the bits fmaUsable and avx512Usable decide on.
+func cpuSupport() (fma, avx512 bool) {
+	maxLeaf, _, _ := cpuid(0)
+	_, _, ecx1 := cpuid(1)
+	var ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _ = cpuid(7)
+	}
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0 = xgetbv0()
+	}
+	return fmaUsable(ecx1, xcr0), avx512Usable(maxLeaf, ecx1, ebx7, xcr0)
+}
+
+// cpuid returns EAX, EBX and ECX of CPUID leaf leaf, subleaf 0.
+func cpuid(leaf uint32) (eax, ebx, ecx uint32)
 
 // xgetbv0 returns the low word of XCR0; the CPU faults on it unless CPUID
 // reports OSXSAVE.

@@ -119,12 +119,123 @@ update:
 	VZEROUPPER
 	RET
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
+// func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int)
+//
+// Sums: Zi = (si0, …, si7) for A row i, i = 0…7. Each k-step loads one
+// 8-wide row of the packed panel and fuses it, times each of A's eight
+// elements broadcast from memory, into the eight sums with one rounding;
+// the main loop does t…t+3 per trip, the tail the k%4 last t one at a time.
+//
+// Registers: SI points at A row 0 and DI at row 4, R8 at the panel's row t;
+// all three advance with t. BX is lda and R12 3·lda in bytes, so A's rows
+// are SI, SI+BX, SI+2·BX, SI+R12 and the same from DI. AX is k, DX the
+// trips left. Z8…Z11 hold panel rows.
+//
+// The eight rows of the C block are prefetched before the k loop: they are
+// read only after it, and in a tile task they often come from past L2, so
+// a load issued then would stall the update; R9…R11 address them.
+
+// PSTEP fuses the panel row at byte offset poff from R8 (loaded into z)
+// times A's eight elements at byte offset off from the row pointers into
+// the eight sums.
+#define PSTEP(off, poff, z) \
+	VMOVUPD          poff(R8), z;          \
+	VFMADD231PD.BCST off(SI), z, Z0;       \
+	VFMADD231PD.BCST off(SI)(BX*1), z, Z1; \
+	VFMADD231PD.BCST off(SI)(BX*2), z, Z2; \
+	VFMADD231PD.BCST off(SI)(R12*1), z, Z3; \
+	VFMADD231PD.BCST off(DI), z, Z4;       \
+	VFMADD231PD.BCST off(DI)(BX*1), z, Z5; \
+	VFMADD231PD.BCST off(DI)(BX*2), z, Z6; \
+	VFMADD231PD.BCST off(DI)(R12*1), z, Z7
+
+// PUPDATE subtracts sum from the 8-wide C row at SI and moves SI to the
+// next row.
+#define PUPDATE(sum) \
+	VMOVUPD (SI), Z8;    \
+	VSUBPD  sum, Z8, Z8; \
+	VMOVUPD Z8, (SI);    \
+	ADDQ    DX, SI
+
+TEXT ·kernAVX512(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), BX
+	SHLQ $3, BX
+	LEAQ (BX)(BX*2), R12
+	LEAQ (SI)(BX*4), DI
+	MOVQ p+24(FP), R8
+	MOVQ c+32(FP), R9
+	MOVQ ldc+40(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	PREFETCHT0 (R9)
+	PREFETCHT0 (R9)(R10*1)
+	PREFETCHT0 (R9)(R10*2)
+	PREFETCHT0 (R9)(R11*1)
+	LEAQ (R9)(R10*4), R9
+	PREFETCHT0 (R9)
+	PREFETCHT0 (R9)(R10*1)
+	PREFETCHT0 (R9)(R10*2)
+	PREFETCHT0 (R9)(R11*1)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ AX, DX
+	SHRQ $2, DX
+	JZ   ptail
+
+pquads:
+	PSTEP(0, 0, Z8)
+	PSTEP(8, 64, Z9)
+	PSTEP(16, 128, Z10)
+	PSTEP(24, 192, Z11)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $256, R8
+	DECQ DX
+	JNZ  pquads
+
+ptail:
+	ANDQ $3, AX
+	JZ   pupdate
+
+psingle:
+	PSTEP(0, 0, Z8)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $64, R8
+	DECQ AX
+	JNZ  psingle
+
+pupdate:
+	MOVQ c+32(FP), SI
+	MOVQ ldc+40(FP), DX
+	SHLQ $3, DX
+	PUPDATE(Z0)
+	PUPDATE(Z1)
+	PUPDATE(Z2)
+	PUPDATE(Z3)
+	PUPDATE(Z4)
+	PUPDATE(Z5)
+	PUPDATE(Z6)
+	PUPDATE(Z7)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf uint32) (eax, ebx, ecx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-20
+	MOVL leaf+0(FP), AX
 	XORL CX, CX
 	CPUID
-	MOVL CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
 	RET
 
 // func xgetbv0() uint32

@@ -1,9 +1,6 @@
 package blas
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestFMAUsable(t *testing.T) {
 	const all = cpuidFMA | cpuidOSXSAVE | cpuidAVX
@@ -29,20 +26,55 @@ func TestFMAUsable(t *testing.T) {
 	}
 }
 
-// useFMA is decided once per process, so kern's other branch is reached
-// only by flipping it here: the bitwise, block-order and panic checks hold
-// on both, each against the oracle of the kernel selected. The subtests
-// are named avx=… after the assembly kernel this one replaced: avx=true
-// runs kernFMA, avx=false kernGo.
+func TestAVX512Usable(t *testing.T) {
+	const fma = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+	cases := []struct {
+		name                    string
+		maxLeaf, ecx, ebx, xcr0 uint32
+		want                    bool
+	}{
+		{"all set", 7, fma, cpuid7AVX512F, 0b1110_0111, true},
+		{"all set, other bits too", 0x20, ^uint32(0), ^uint32(0), ^uint32(0), true},
+		{"max leaf below 7", 6, fma, cpuid7AVX512F, 0b1110_0111, false},
+		{"AVX512F without opmask state", 7, fma, cpuid7AVX512F, 0b1100_0111, false},
+		{"AVX512F without ZMM state", 7, fma, cpuid7AVX512F, 0b0010_0111, false},
+		{"no AVX512F", 7, fma, ^uint32(cpuid7AVX512F), 0b1110_0111, false},
+		{"no OSXSAVE", 7, cpuidFMA | cpuidAVX, cpuid7AVX512F, 0b1110_0111, false},
+		{"no FMA", 7, cpuidOSXSAVE | cpuidAVX, cpuid7AVX512F, 0b1110_0111, false},
+		{"nothing", 0, 0, 0, 0, false},
+	}
+	for _, tc := range cases {
+		if got := avx512Usable(tc.maxLeaf, tc.ecx, tc.ebx, tc.xcr0); got != tc.want {
+			t.Errorf("%s: avx512Usable(%d, %#x, %#x, %#b) = %v, want %v",
+				tc.name, tc.maxLeaf, tc.ecx, tc.ebx, tc.xcr0, got, tc.want)
+		}
+	}
+}
+
+// useFMA and useAVX512 are decided once per process, so kern's other
+// branches and the panel path's absence are reached only by setting them
+// here: the bitwise, block-order and panic checks hold under kernGo,
+// kernFMA and kernFMA with the AVX-512 panels, each against the oracle of
+// the kernels selected. The first two subtests are named avx=… after the
+// assembly kernel kernFMA replaced: avx=false runs kernGo, avx=true
+// kernFMA alone; avx512=true adds the panel path.
 func TestKernBothSelections(t *testing.T) {
-	defer func(was bool) { useFMA = was }(useFMA)
-	for _, fma := range []bool{false, true} {
-		if fma && !hasFMA() {
-			t.Log("this CPU has no FMA: only the Go kernel runs")
+	defer func(fma, avx512 bool) { useFMA, useAVX512 = fma, avx512 }(useFMA, useAVX512)
+	fma, avx512 := cpuSupport()
+	for _, sel := range []struct {
+		name        string
+		fma, avx512 bool
+	}{
+		{"avx=false", false, false},
+		{"avx=true", true, false},
+		{"avx512=true", true, true},
+	} {
+		if sel.fma && !fma || sel.avx512 && !avx512 {
+			t.Logf("%s: this CPU lacks the kernel", sel.name)
 			continue
 		}
-		useFMA = fma
-		t.Run(fmt.Sprintf("avx=%v", fma), func(t *testing.T) {
+		useFMA, useAVX512 = sel.fma, sel.avx512
+		t.Run(sel.name, func(t *testing.T) {
 			t.Run("bitwise", TestKernBitwise)
 			t.Run("blockorder", TestGemmNTBlockOrderBits)
 			t.Run("panics", TestShortOperandPanics)

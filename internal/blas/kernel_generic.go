@@ -6,3 +6,11 @@ package blas
 func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	kernGo(k, a, lda, b, ldb, c, ldc)
 }
+
+// Off amd64 there is no panel kernel: GemmNT and SyrkLN never take their
+// panel path, and kernPanel is never called.
+const useAVX512 = false
+
+func kernPanel(k int, a []float64, lda int, p *[panelK * panelN]float64, c []float64, ldc int) {
+	panic("blas: no panel kernel on this GOARCH")
+}

@@ -191,8 +191,12 @@ func TestKernelsDeterministic(t *testing.T) {
 // on the micro-blocks wholly below the diagonal, must give the bits of a
 // per-element loop whatever mr is. What the micro-blocks leave, GemmNT's
 // m%mr rows and n%nr columns, must give the bits of dot. The shapes are
-// whole micro-blocks but for the last two: 12×24 leaves four rows over, on
-// the boundary a 4-row block had not, and 14×10 leaves rows and columns.
+// whole micro-blocks but for 12×24, which leaves four rows over, on the
+// boundary a 4-row block had not, and 14×10, which leaves rows and
+// columns. Where useAVX512 is set, n = 12 and 20 mix 8×8 panels with a
+// trailing 8×4 kern block, SyrkLN at n = 20 runs a panel below the
+// diagonal, and k = 256 and 257 sit either side of the panel path's
+// fallback to kern; each element's reference is the same fused chain.
 func TestGemmNTBlockOrderBits(t *testing.T) {
 	rng := xrand.New(19)
 	perElement := func(x, y []float64) float64 {
@@ -212,7 +216,8 @@ func TestGemmNTBlockOrderBits(t *testing.T) {
 				what, m, n, k, i, j, math.Float64bits(got), got, math.Float64bits(want), want)
 		}
 	}
-	for _, s := range [][3]int{{8, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {12, 24, 67}, {14, 10, 33}} {
+	for _, s := range [][3]int{{8, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {12, 24, 67}, {14, 10, 33},
+		{16, 12, 45}, {24, 20, 256}, {16, 20, 257}} {
 		m, n, k := s[0], s[1], s[2]
 		a, lda := padded(&rng, m, k, math.NaN())
 		b, ldb := padded(&rng, n, k, math.NaN())

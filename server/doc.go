@@ -21,10 +21,11 @@
 // which spans the source-matrix lookup (a generation, for an order outside
 // the eight cached), the copy into tiles, task insertion and the drain (and
 // any panic-retry attempts), so it is the rate a client saw, not a kernel rate.
-// The kernels are internal/blas's, on one 8×4 micro-kernel: on an amd64
-// CPU with FMA assembly with the bits of a fused per-element chain,
-// elsewhere the portable Go kernel; within one process every request gets
-// the same bits. At the small n and nb of typical requests the copy and the
+// The kernels are internal/blas's, on an 8×4 micro-kernel: on an amd64
+// CPU with FMA assembly with the bits of a fused per-element chain, which
+// an 8×8 AVX-512 block over packed B takes over for most of gemm and syrk
+// where the CPU has it, with the same bits; elsewhere the portable Go
+// kernel. Within one process every request gets the same bits. At the small n and nb of typical requests the copy and the
 // per-task scheduling cost hold gflops well below the kernels' own rate.
 //
 // Because the job carries the request context, both per-request deadlines
