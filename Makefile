@@ -12,11 +12,13 @@ test:
 # the fault-injection harness (internal/chaos), the parallel algorithms
 # that hammer it, the HTTP front-end, the public facade, and every paradigm
 # layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark),
-# the figure table that drives every paradigm at once (internal/figs), and
-# the tile kernels (internal/blas), whose bitwise kernel checks must hold in
+# the figure table that drives every paradigm at once (internal/figs), the
+# tile kernels (internal/blas), whose bitwise kernel checks must hold in
 # the race build too, where the compiler orders commutative operands
-# differently. -short keeps the stress tests at their trimmed sizes.
-RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs ./internal/blas
+# differently, and the serve process (cmd/xkserve: SIGTERM drain, chaos on
+# four shards). -short keeps the stress tests and the process tests' loads
+# at their trimmed sizes.
+RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs ./internal/blas ./cmd/xkserve
 .PHONY: race
 race:
 	$(GO) test -race -short $(RACE_PKGS)
@@ -87,11 +89,13 @@ bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # check is the local CI entry point: static gates (cross among them),
-# tier-1, the race tiers, the benchmark module's self-test and the
-# serve/load integration pipeline.
+# tier-1, the race tiers and the benchmark module's self-test. The HTTP
+# server is covered by tier-1 itself: server's tests drive its handlers in
+# process, and cmd/xkserve's tests run the serve binary (SIGTERM drain,
+# chaos on four shards) on a port the kernel picks.
 # ci.sh runs the same targets in the same order.
 .PHONY: check
-check: fmt-check vet cross lint build test race race-stress bench-gate bench-selftest integration
+check: fmt-check vet cross lint build test race race-stress bench-gate bench-selftest
 
 # The packages of the micro-benchmark trajectory: the scheduler's per-task
 # costs and the tile kernels' per-call costs.
@@ -141,11 +145,3 @@ bench-gate:
 .PHONY: bench-diff
 bench-diff:
 	@$(GO) run ./cmd/xkbenchjson diff -latest
-
-# integration drives the real network pipeline: build xkserve, start serve,
-# run the verified mixed workload + backpressure probe against it (including
-# the live /stats probe during an in-flight request), then SIGTERM mid-load
-# and require a clean drain (exit 0, balanced counters).
-.PHONY: integration
-integration:
-	./integration.sh

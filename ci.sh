@@ -7,10 +7,10 @@
 # verify (build + full test suite), the race tiers (`race` over the
 # concurrency-critical packages, `race-stress` for the un-shortened stress,
 # fleet and seeded chaos runs), the gating benchmark allocation budgets (bench_gates.json),
-# the benchmark module's own vet + tests, and the serve/load integration
-# pipeline. What this script adds is output capture for the workflow and a
-# non-gating benchmark tier that records the perf trajectory as a
-# BENCH_<n>.json artifact.
+# and the benchmark module's own vet + tests. The HTTP server needs no tier
+# of its own: tier-1 runs cmd/xkserve's process tests. What this script adds
+# is output capture for the workflow and a non-gating benchmark tier that
+# records the perf trajectory as a BENCH_<n>.json artifact.
 set -eu
 
 echo "== gate: gofmt -l, go vet ./... (make fmt-check vet)"
@@ -47,9 +47,6 @@ make bench-gate
 # benchmark/ is its own module: nothing above compiles it.
 echo "== gate: benchmark of record builds and passes its tests (make bench-selftest)"
 make bench-selftest
-
-echo "== integration tier: xkserve serve + load over HTTP (make integration)"
-make integration
 
 echo "== bench tier (non-gating): make bench-json"
 if make bench-json; then

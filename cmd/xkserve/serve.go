@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -54,15 +55,23 @@ func runServe(args []string) int {
 		DefaultTimeout: *timeout,
 		PanicRetries:   *panicRetries,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Listen first, so the banner names the address actually bound (the
+	// port the kernel chose for ":0").
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xkserve: listen: %v\n", err)
+		rt.Close()
+		return 1
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Printf("xkserve: serving on %s (%d workers, %d shard(s), budget %d, queue %d, default timeout %v)\n",
-		*addr, rt.Workers(), rt.Shards(), srv.Budget(), srv.QueueCap(), *timeout)
+		ln.Addr(), rt.Workers(), rt.Shards(), srv.Budget(), srv.QueueCap(), *timeout)
 	if inj != nil {
 		fmt.Printf("xkserve: chaos armed: %s (panic retries %d)\n", *chaosSpec, *panicRetries)
 	}

@@ -77,9 +77,13 @@ var ErrNotSPD = errors.New("blas: matrix is not positive definite")
 // m×n (ldc). This is the Schur-complement update of the tile Cholesky:
 // C(m,n) -= A(m,k) · B(n,k)ᵀ.
 func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if k <= 0 {
+	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
+	// The last element of each operand is indexed first, so a short one
+	// panics here, before any block has written C. (A reslice would be
+	// checked against capacity and let a short operand grow into it.)
+	_, _, _ = a[(m-1)*lda+k-1], b[(n-1)*ldb+k-1], c[(m-1)*ldc+n-1]
 	mm, nn := m-m%mr, n-n%nr
 	// The columns left of j0 go by panels where the panel path applies.
 	j0 := 0
@@ -108,9 +112,10 @@ func GemmNT(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 // SyrkLN computes the lower triangle of C -= A * Aᵀ, where A is n×k (lda)
 // and C is n×n (ldc). Only entries C[i][j] with j <= i are touched.
 func SyrkLN(n, k int, a []float64, lda int, c []float64, ldc int) {
-	if k <= 0 {
+	if n <= 0 || k <= 0 {
 		return
 	}
+	_, _ = a[(n-1)*lda+k-1], c[(n-1)*ldc+n-1] // as in GemmNT
 	// The blocks wholly below the diagonal, columns 0…i-1 of each full
 	// band i after the first, go by panels where the panel path applies.
 	nb := n - n%mr
@@ -188,6 +193,10 @@ func gemmPanels(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // leaves an nr-wide triangular solve per row. Pivots divide once per column
 // and multiply per row.
 func TrsmRLTN(m, n int, l []float64, ldl int, b []float64, ldb int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	_, _ = l[(n-1)*ldl+n-1], b[(m-1)*ldb+n-1] // as in GemmNT
 	for j0 := 0; j0 < n; j0 += nr {
 		jb := min(nr, n-j0)
 		GemmNT(m, jb, j0, b, ldb, l[j0*ldl:], ldl, b[j0:], ldb)
@@ -245,6 +254,10 @@ const potrfNB = 8
 // (A[J,J] -= A[J,:J0] · A[J,:J0]ᵀ, SyrkLN), factor it entry by entry, then
 // update and solve the panel below it (GemmNT, TrsmRLTN).
 func PotrfLower(n int, a []float64, lda int) error {
+	if n <= 0 {
+		return nil
+	}
+	_ = a[(n-1)*lda+n-1] // as in GemmNT
 	for j0 := 0; j0 < n; j0 += potrfNB {
 		jb := min(potrfNB, n-j0)
 		left, diag := a[j0*lda:], a[j0*lda+j0:]

@@ -228,91 +228,78 @@ func TestKernBitwise(t *testing.T) {
 	}
 }
 
-// A short operand panics with the index error the Go kernel gave (the
-// messages below are its own). In GemmNT, SyrkLN and TrsmRLTN the
-// operand is short only where a micro-block reads — m is at least mr, or
-// the rows would take the scalar path — so the panic comes from kern's
-// slicing, before the block's C is read or written. Every element a
-// micro-block reads in PotrfLower has been read before by the scalar code,
-// which is where its short operand fails.
+// A short operand panics where GemmNT, SyrkLN, TrsmRLTN and PotrfLower
+// index the last element of every operand, before any block runs: the
+// raising frame is the entry point, not a micro-kernel, and the operand the
+// call writes is unchanged, under every kernel selection. Most operands
+// below are short only where a later block reads, after an earlier one
+// could have written. An operand short in length but not in capacity must
+// panic too, with its spare capacity untouched.
 func TestShortOperandPanics(t *testing.T) {
+	const k, n = 5, 20
+	rng := xrand.New(23)
+	l := randMat(&rng, 64)
+	for i := 0; i < 8; i++ {
+		l[i*8+i] = 2
+	}
 	cases := []struct {
-		name   string
-		call   func()
-		want   string
-		inKern bool
+		name  string
+		out   []float64 // the operand the call writes
+		call  func(out []float64)
+		want  string // the index and length the panic names
+		frame string // the function that raises it
 	}{
-		{"gemm: B has three rows of four", func() {
-			GemmNT(8, 4, 5, make([]float64, 40), 5, make([]float64, 15), 5, make([]float64, 32), 4)
-		}, "runtime error: slice bounds out of range [:20] with capacity 15", true},
-		{"syrk: A one short of four rows", func() {
-			SyrkLN(8, 3, make([]float64, 11), 3, make([]float64, 64), 8)
-		}, "runtime error: slice bounds out of range [:12] with capacity 11", true},
-		{"trsm: B one short", func() {
-			l := make([]float64, 64)
-			for i := 0; i < 8; i++ {
-				l[i*8+i] = 1
-			}
-			TrsmRLTN(8, 8, l, 8, make([]float64, 63), 8)
-		}, "runtime error: slice bounds out of range [:60] with capacity 59", true},
-		{"potrf: A one short", func() {
-			const n = 20
-			a := make([]float64, n*n)
-			for i := 0; i < n; i++ {
-				a[i*n+i] = 1
-			}
-			PotrfLower(n, a[:n*n-1], n)
-		}, "runtime error: index out of range [63] with length 63", false},
+		{"gemm: B has three rows of four", randMat(&rng, 32), func(c []float64) {
+			GemmNT(8, 4, 5, randMat(&rng, 40), 5, randMat(&rng, 15), 5, c, 4)
+		}, "[19] with length 15", "GemmNT"},
+		{"gemm n=8: A one short", randMat(&rng, 64), func(c []float64) {
+			GemmNT(8, 8, k, randMat(&rng, 8*k-1), k, randMat(&rng, 8*k), k, c, 8)
+		}, "[39] with length 39", "GemmNT"},
+		{"gemm n=8: B one short", randMat(&rng, 64), func(c []float64) {
+			GemmNT(8, 8, k, randMat(&rng, 8*k), k, randMat(&rng, 8*k-1), k, c, 8)
+		}, "[39] with length 39", "GemmNT"},
+		{"gemm n=8: C one short", randMat(&rng, 63), func(c []float64) {
+			GemmNT(8, 8, k, randMat(&rng, 8*k), k, randMat(&rng, 8*k), k, c, 8)
+		}, "[63] with length 63", "GemmNT"},
+		{"gemm n=8: C one short, spare capacity", randMat(&rng, 64)[:63], func(c []float64) {
+			GemmNT(8, 8, k, randMat(&rng, 8*k), k, randMat(&rng, 8*k), k, c, 8)
+		}, "[63] with length 63", "GemmNT"},
+		{"syrk: A one short of four rows", randMat(&rng, 64), func(c []float64) {
+			SyrkLN(8, 3, randMat(&rng, 11), 3, c, 8)
+		}, "[23] with length 11", "SyrkLN"},
+		{"syrk n=16: A one short", randMat(&rng, 256), func(c []float64) {
+			SyrkLN(16, 3, randMat(&rng, 47), 3, c, 16)
+		}, "[47] with length 47", "SyrkLN"},
+		{"trsm: B one short", randMat(&rng, 63), func(b []float64) {
+			TrsmRLTN(8, 8, l, 8, b, 8)
+		}, "[63] with length 63", "TrsmRLTN"},
+		{"potrf: A one short", randSPD(&rng, n, n)[: n*n-1 : n*n-1], func(a []float64) {
+			PotrfLower(n, a, n)
+		}, "[399] with length 399", "PotrfLower"},
+		{"potrf: A one short, spare capacity", randSPD(&rng, n, n)[:n*n-1], func(a []float64) {
+			PotrfLower(n, a, n)
+		}, "[399] with length 399", "PotrfLower"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			out := tc.out[:cap(tc.out)] // with any spare capacity
+			out0 := slices.Clone(out)
 			defer func() {
-				r := recover()
-				if got := fmt.Sprint(r); got != tc.want {
-					t.Fatalf("panic %q, want %q", got, tc.want)
-				}
-				if in := strings.Contains(string(debug.Stack()), "blas.kern"); in != tc.inKern {
-					t.Fatalf("panic raised in the micro-kernel: %v, want %v", in, tc.inKern)
-				}
-			}()
-			tc.call()
-		})
-	}
-
-	// An 8×8 GemmNT at k = 5 is one panel where useAVX512 is set: with A,
-	// B or C one element short it panics in packPanel's or kernPanel's
-	// slicing, before any element of C changes. Elsewhere it is two kern
-	// blocks, and a short B or C row is read by the second only, after
-	// the first has updated its four columns; a short A row is read by
-	// the first, so that case leaves C whole under every selection.
-	const k = 5
-	panel := []struct {
-		name       string
-		la, lb, lc int
-		kern, pan  string // the bounds the panic names without and with the panel path
-	}{
-		{"gemm n=8: A one short", 8*k - 1, 8 * k, 64, "[:40] with capacity 39", "[:40] with capacity 39"},
-		{"gemm n=8: B one short", 8 * k, 8*k - 1, 64, "[:20] with capacity 19", "[:40] with capacity 39"},
-		{"gemm n=8: C one short", 8 * k, 8 * k, 63, "[:60] with capacity 59", "[:64] with capacity 63"},
-	}
-	for _, tc := range panel {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := xrand.New(23)
-			a, b, c := randMat(&rng, tc.la), randMat(&rng, tc.lb), randMat(&rng, tc.lc)
-			c0 := slices.Clone(c)
-			want := "runtime error: slice bounds out of range " + tc.kern
-			if useAVX512 {
-				want = "runtime error: slice bounds out of range " + tc.pan
-			}
-			defer func() {
+				want := "runtime error: index out of range " + tc.want
 				if got := fmt.Sprint(recover()); got != want {
 					t.Fatalf("panic %q, want %q", got, want)
 				}
-				if (useAVX512 || tc.la < 8*k) && !slices.Equal(c, c0) {
-					t.Fatal("C changed before the panic")
+				// The first blas frame below the runtime's panic frames raised it.
+				_, raised, _ := strings.Cut(string(debug.Stack()), "panic(")
+				_, raised, _ = strings.Cut(raised, "xkaapi/internal/blas.")
+				if frame, _, _ := strings.Cut(raised, "("); frame != tc.frame {
+					t.Errorf("panic raised in %s, want %s", frame, tc.frame)
+				}
+				if !slices.Equal(out, out0) {
+					t.Error("the written operand changed before the panic")
 				}
 			}()
-			GemmNT(8, 8, k, a, k, b, k, c, 8)
+			tc.call(tc.out)
 		})
 	}
 }

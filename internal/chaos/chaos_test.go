@@ -149,8 +149,8 @@ func TestParse(t *testing.T) {
 // spec means what its fragments say — rewritten canonically (names
 // deduplicated and sorted, the effective seed spelled out) it parses to the
 // same settings, so order, repetition, spacing and the default seed cannot
-// change a scenario. The corpus is the specs integration.sh, the quickstart
-// and TestParse use, plus the grammar's edges.
+// change a scenario. The corpus is the specs cmd/xkserve's chaos test, the
+// quickstart and TestParse use, plus the grammar's edges.
 func FuzzChaosParse(f *testing.F) {
 	for _, spec := range []string{
 		"", "off", " off ", "all", "all:3", "panic:42", "panic+stall:42", "stall+panic:7",

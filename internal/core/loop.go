@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xkaapi/internal/jobfail"
 	"xkaapi/internal/xrand"
@@ -341,19 +339,7 @@ func (w *Worker) ForEach(lo, hi int64, opt LoopOpts, body func(w *Worker, lo, hi
 	// ForEach returns, failure or not.
 	idle := 0
 	for lc.pending.Load() != 0 {
-		if w.schedOnce() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle == 1 {
-			w.flushStats() // out of work: publish cached counters
-		}
-		if idle < idleSpinBeforeSleep {
-			runtime.Gosched()
-		} else {
-			time.Sleep(idleSleep)
-		}
+		idle = w.helpOnce(idle)
 	}
 	// Unwind the calling body instead of returning normally after a
 	// failure: code after a loop must not run on partial results. The

@@ -412,20 +412,30 @@ func (w *Worker) complete(t *Task) {
 func (w *Worker) waitFrame(c *atomic.Int32) {
 	idle := 0
 	for w.frameKids+c.Load() != 0 {
-		if w.schedOnce() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle == 1 {
-			w.flushStats() // out of work: publish cached counters
-		}
-		if idle < idleSpinBeforeSleep {
-			runtime.Gosched()
-		} else {
-			time.Sleep(idleSleep) //xk:allow(hotpath): idle backoff — out of work by definition
-		}
+		idle = w.helpOnce(idle)
 	}
+}
+
+// helpOnce is one round of a wait loop (waitFrame, ForEach's wait for
+// stolen iterations): execute one ready task, or back off after a miss —
+// publish the cached counters on the first, yield on the next ones, and
+// sleep idleSleep per round from idleSpinBeforeSleep misses on. idle is
+// the count of consecutive misses so far; helpOnce returns the new count,
+// 0 once a task ran.
+func (w *Worker) helpOnce(idle int) int {
+	if w.schedOnce() {
+		return 0
+	}
+	idle++
+	if idle == 1 {
+		w.flushStats() // out of work: publish cached counters
+	}
+	if idle < idleSpinBeforeSleep {
+		runtime.Gosched()
+	} else {
+		time.Sleep(idleSleep) //xk:allow(hotpath): idle backoff — out of work by definition
+	}
+	return idle
 }
 
 const (

@@ -229,8 +229,8 @@
 // The fault-injection harness (internal/chaos) exercises it through the
 // runtime: `xkserve serve -chaos stall+panic:7 -panic-retries 20` arms
 // seeded task panics and worker stalls behind the scheduler's nil-check
-// fast path, and the integration tier drives exactly that topology under a
-// mixed load that must see zero 500s.
+// fast path, and cmd/xkserve's TestServeChaosShards runs exactly that
+// process, on four shards, under a mixed load that must see zero 500s.
 //
 // # Stats, latency and data races
 //

@@ -738,6 +738,112 @@ func TestStatsEndpointShape(t *testing.T) {
 	}
 }
 
+// TestStatsShardBreakdown: on a four-shard server /stats carries one
+// shard_stats entry per shard, in shard order, whose stolen_in/stolen_out
+// are the pool's own; a mixed load reaches every shard and migrates at
+// least one root between shards. Placement and migration within one wave
+// depend on timing, so up to 24 waves (192 requests) are tried.
+func TestStatsShardBreakdown(t *testing.T) {
+	s := New(Config{Workers: 8, Shards: 4})
+	url := startTestServer(t, s).URL
+	qs := []string{"/fib?n=20", "/loop?n=100000", "/cholesky?n=128&nb=32&verify=1"}
+	for wave := range 24 {
+		var wg sync.WaitGroup
+		for c := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q := qs[c%len(qs)]
+				resp, err := http.Get(url + q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var rep reply
+				if json.NewDecoder(resp.Body).Decode(&rep) != nil || resp.StatusCode != http.StatusOK || !rep.OK {
+					t.Errorf("GET %s: status %d reply %+v, want a verified 200", q, resp.StatusCode, rep)
+				}
+			}()
+		}
+		wg.Wait()
+		st := statsReply(t, url)
+		if st.Shards != 4 || len(st.ShardStats) != 4 {
+			t.Fatalf("/stats shards=%d with %d shard_stats entries, want 4 and 4", st.Shards, len(st.ShardStats))
+		}
+		pool := s.rt.ShardStats() // every request has replied, so the pool is idle
+		idle, stolen := 0, int64(0)
+		for i, ss := range st.ShardStats {
+			if ss.Shard != i {
+				t.Fatalf("shard_stats[%d] is shard %d", i, ss.Shard)
+			}
+			if ss.StolenIn != pool[i].StolenIn || ss.StolenOut != pool[i].StolenOut {
+				t.Fatalf("shard_stats[%d] stolen_in/out = %d/%d, the pool's = %d/%d",
+					i, ss.StolenIn, ss.StolenOut, pool[i].StolenIn, pool[i].StolenOut)
+			}
+			if ss.Executed == 0 {
+				idle++
+			}
+			stolen += ss.StolenIn
+		}
+		if idle == 0 && stolen > 0 {
+			t.Logf("every shard executing and %d cross-shard steal(s) after %d wave(s)", stolen, wave+1)
+			return
+		}
+	}
+	t.Errorf("24 waves of eight mixed requests left a shard idle or no root stolen: %+v", statsReply(t, url).ShardStats)
+}
+
+// TestStatsExecutedLiveInFlight: /stats publishes the scheduler's Executed
+// while a request is in flight. The row's job runs its tasks and then holds
+// until the test releases it, so the request is in flight for as long as
+// the test looks, with no clock to race.
+func TestStatsExecutedLiveInFlight(t *testing.T) {
+	release := make(chan struct{})
+	hold := &endpoint{name: "hold", defN: 1000, maxN: 1000, parse: parseSmall,
+		attempt: func(s *Server, ctx context.Context, _ *endpoint, rq request) result {
+			job := s.rt.SubmitCtx(ctx, func(p *xkaapi.Proc) {
+				for range rq.n {
+					p.Spawn(func(*xkaapi.Proc) {})
+				}
+				p.Sync()
+				<-release
+			})
+			err := job.Wait()
+			return result{value: int64(rq.n), stats: job.Stats(), err: err}
+		},
+		fill: fillValue(func(n int) int64 { return int64(n) })}
+	s := newServer(Config{Runtime: xkaapi.New(xkaapi.WithWorkers(2))}, append(builtinRows(), hold))
+	url := startTestServer(t, s).URL
+	// Registered after the server's cleanup, so it runs first: a t.Fatal
+	// in the poll below must not leave the handler blocked on release.
+	unhold := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unhold)
+
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(url + "/hold")
+		if err != nil {
+			done <- -1
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	var executed int64
+	for deadline := time.Now().Add(10 * time.Second); executed == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		executed = statsReply(t, url).Scheduler.Executed
+	}
+	inFlight := s.InFlight()
+	unhold()
+	if executed == 0 || inFlight != 1 {
+		t.Errorf("/stats Executed = %d with %d request(s) in flight, want > 0 while the one request runs", executed, inFlight)
+	}
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("GET /hold: status %d, want 200", code)
+	}
+}
+
 // waitFor polls cond until it holds or the deadline elapses.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()

@@ -80,8 +80,9 @@ func fibTask(p *xkaapi.Proc, n int, r *int64) {
 }
 
 // FibSeq is the sequential Fibonacci reference the /fib endpoint verifies
-// its parallel result against. Exported so the load generator
-// (cmd/xkserve load) checks responses against the same recurrence.
+// its parallel result against. Exported so the benchmark's load generator
+// and cmd/xkserve's process tests check responses against the same
+// recurrence.
 func FibSeq(n int) int64 {
 	a, b := int64(0), int64(1)
 	for i := 0; i < n; i++ {
