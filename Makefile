@@ -23,8 +23,10 @@ RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 
-# race-stress is the race tier's un-shortened runs. The context-propagation
-# stress drives the one shared failure machine from every direction at once
+# race-stress is the race tier's un-shortened runs. The deque tier runs the
+# Chase–Lev torture tests (owner/thief interleavings, pop against steal on
+# the last task, steal against grow, many thieves) at full size, which
+# -short trims. The context-propagation stress drives the one shared failure machine from every direction at once
 # (sibling panics, deadlines, external Cancels, healthy jobs). The fleet
 # tier races router placement, cross-shard stealing under imbalance and
 # behind a frozen shard, and the fleet-wide drain/submit-storm critical
@@ -33,6 +35,7 @@ race:
 # failure replays deterministically.
 .PHONY: race-stress
 race-stress:
+	$(GO) test -race -run 'TestDeque' -count=2 ./internal/core
 	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
 	$(GO) test -race -run 'TestFleet' -count=2 ./internal/core
 	$(GO) test -race -count=1 ./internal/chaos

@@ -41,7 +41,6 @@ func TestChaosSweepAcrossParadigms(t *testing.T) {
 			rt := xkaapi.New(
 				xkaapi.WithWorkers(4),
 				xkaapi.WithShards(shards),
-				xkaapi.WithSeed(seed),
 				xkaapi.WithChaos(inj),
 			)
 			sweepOnce(t, rt, inj)
@@ -134,7 +133,7 @@ func sweepOnce(t *testing.T, rt *xkaapi.Runtime, inj *xkaapi.ChaosInjector) {
 	// xkaapi adaptive loop: split/extract boundary via the loop-panic site.
 	run("foreach", func() error {
 		return rt.Run(func(p *xkaapi.Proc) {
-			xkaapi.ForeachGrain(p, 0, 4096, 32, func(*xkaapi.Proc, int, int) {})
+			xkaapi.Foreach(p, 0, 4096, func(*xkaapi.Proc, int, int) {})
 		})
 	})
 

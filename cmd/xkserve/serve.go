@@ -137,6 +137,10 @@ func runServe(args []string) int {
 		// (drain cancellations included) and shows the first failure.
 		fmt.Printf("xkserve: lifetime job failures: %s\n", server.ErrorLine(err))
 	}
+	// Each retried attempt is one of the failed jobs counted above whose
+	// request was answered by a later attempt: an absorbed crash, not a
+	// failed request.
+	fmt.Printf("xkserve: panic-retried attempts=%d\n", srv.PanicRetried())
 	if clean {
 		fmt.Println("xkserve: drained cleanly")
 		return 0

@@ -220,4 +220,21 @@ func TestServeChaosShards(t *testing.T) {
 			t.Errorf("exit report has no line for shard %d/4", i)
 		}
 	}
+	// Every request got a 200, so every failed job was a crashed attempt
+	// that a retry absorbed.
+	retried := counter(report, "xkserve: panic-retried ", "attempts")
+	if failed := failedJobs(report); len(stops) == 0 && failed != retried {
+		t.Errorf("exit report counts %d failed jobs and %d panic-retried attempts, want them equal when every request got a 200", failed, retried)
+	}
+}
+
+// failedJobs reads the lifetime failed-job count of the exit report: 0
+// when the report has no lifetime failure line.
+func failedJobs(report string) int64 {
+	m := regexp.MustCompile(`xkserve: lifetime job failures: core: (\d+) job\(s\) failed`).FindStringSubmatch(report)
+	if m == nil {
+		return 0
+	}
+	n, _ := strconv.ParseInt(m[1], 10, 64)
+	return n
 }

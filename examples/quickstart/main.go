@@ -101,7 +101,7 @@ func main() {
 	var pi float64
 	rt.Run(func(p *xkaapi.Proc) {
 		const n = 10_000_000
-		pi = xkaapi.ForeachReduce(p, 0, n, xkaapi.LoopOpts{},
+		pi = xkaapi.ForeachReduce(p, 0, n,
 			func() float64 { return 0 },
 			func(_ *xkaapi.Proc, lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {

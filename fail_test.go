@@ -96,7 +96,6 @@ func TestCloseErrFacade(t *testing.T) {
 func TestStatsCountPanickedCancelled(t *testing.T) {
 	rt := xkaapi.New(xkaapi.WithWorkers(1))
 	defer rt.Close()
-	rt.ResetStats()
 	rt.Run(func(p *xkaapi.Proc) {
 		for i := 0; i < 5; i++ {
 			p.Spawn(func(*xkaapi.Proc) {})

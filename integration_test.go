@@ -64,7 +64,7 @@ func TestIntegrationMixedParadigms(t *testing.T) {
 		tree(p, 0, n, &treeSum)
 
 		// Adaptive loop with reduction over the same data.
-		loopSum = xkaapi.ForeachReduce(p, 0, n, xkaapi.LoopOpts{},
+		loopSum = xkaapi.ForeachReduce(p, 0, n,
 			func() int64 { return 0 },
 			func(_ *xkaapi.Proc, lo, hi int, acc int64) int64 {
 				for i := lo; i < hi; i++ {
@@ -235,9 +235,8 @@ func TestIntegrationEPXShapes(t *testing.T) {
 // TestIntegrationStatsAggregationEvidence verifies the §II-C mechanism
 // end-to-end: with aggregation on, combiner passes answer posted requests.
 func TestIntegrationStatsAggregationEvidence(t *testing.T) {
-	rt := xkaapi.New(xkaapi.WithWorkers(4), xkaapi.WithSeed(3))
+	rt := xkaapi.New(xkaapi.WithWorkers(4))
 	defer rt.Close()
-	rt.ResetStats()
 	var sink atomic.Int64
 	rt.Run(func(p *xkaapi.Proc) {
 		fib(p, new(int64), 24)

@@ -160,7 +160,7 @@ func BenchmarkForEach(b *testing.B) {
 	b.ResetTimer()
 	rt.RunRoot(func(w *Worker) {
 		for i := 0; i < b.N; i++ {
-			w.ForEach(0, 1<<16, LoopOpts{}, body)
+			w.ForEach(0, 1<<16, body)
 		}
 	})
 	_ = sink

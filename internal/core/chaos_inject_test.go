@@ -81,7 +81,7 @@ func TestChaosLoopPanicNoHang(t *testing.T) {
 	failures := 0
 	for i := 0; i < 20; i++ {
 		err := rt.Submit(func(w *Worker) {
-			w.ForEach(0, 10_000, LoopOpts{SeqGrain: 64}, func(*Worker, int64, int64) {})
+			w.forEach(0, 10_000, 64, func(*Worker, int64, int64) {})
 		}).Wait()
 		if err != nil {
 			failures++

@@ -280,7 +280,6 @@ func TestRecursiveDataflowTasks(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	withRuntime(t, Config{Workers: 2}, func(rt *Runtime) {
-		rt.ResetStats()
 		var r int64
 		rt.RunRoot(func(w *Worker) { fibTask(w, &r, 15) })
 		// The second worker publishes its batched counters as it goes

@@ -42,35 +42,12 @@ const dequeInitCap = 256 // initial slots; must be a power of two
 //     head is monotone, so any index a thief can still claim from the old
 //     buffer holds the same task in the new one.
 //
-// On top of the circular buffer sits next, a single-task fast slot in the
-// spirit of the Go scheduler's runnext, tuned for the spawn-sync cycle —
-// push one task, immediately pop it back, the paper's dominant fork-join
-// pattern. A push fills the slot only when the whole deque was empty;
-// otherwise it takes the ordinary buffer path. That choice pins down the
-// ordering invariant: whenever the slot is occupied, every buffer task was
-// pushed after it (the buffer was empty when the slot filled, and only the
-// owner adds tasks), so the slot holds the deque's OLDEST task. The owner's
-// pop therefore drains the buffer (newest) first and swaps the slot out
-// last; a thief tries the slot (oldest) first and falls back to the buffer.
-// The empty-deque spawn then costs one uncontended store and its pop one
-// XCHG on the same word instead of a buffer store, a bottom publish and a
-// head CAS — while a batch of pushes costs exactly what it did before.
-//
-// Slot correctness is simpler than the buffer's: it is a single word, every
-// non-nil write is the owner's push (legal because the owner re-fills it
-// only after observing it nil, and thieves only ever clear it), and every
-// claim — owner Swap, thief CompareAndSwap — removes the current occupant
-// atomically, so each pushed task is handed out exactly once. A thief whose
-// CAS succeeds against a recycled same-pointer Task is claiming the slot's
-// *current* occupant — a legitimately queued new incarnation, not the stale
-// one it first loaded — which is just a steal of that queued task; the
-// generation-stamp argument (task.go seq) is not even needed here.
+// The one addition to the textbook algorithm is shrink: an empty pop
+// releases a grown buffer, so a past frontier does not pin its memory.
 type deque struct {
-	next atomic.Pointer[Task] // fast slot: oldest task when occupied (owner store/Swap, thief CAS)
-	_    [56]byte             // keep the fast slot off the head line
-	head atomic.Int64         // top: index of the next task to steal (CAS-claimed)
-	_    [56]byte             // keep the thief-side and owner-side words on separate lines
-	tail atomic.Int64         // bottom: index of the next free slot (owner only)
+	head atomic.Int64 // top: index of the next task to steal (CAS-claimed)
+	_    [56]byte     // keep the thief-side and owner-side words on separate lines
+	tail atomic.Int64 // bottom: index of the next free slot (owner only)
 	_    [56]byte
 	buf  atomic.Pointer[dequeBuf]
 }
@@ -91,34 +68,13 @@ func (d *deque) size() int64 {
 	if n < 0 {
 		n = 0
 	}
-	if d.next.Load() != nil {
-		n++
-	}
 	return n
 }
 
-// push appends t at the bottom. Owner only. An empty deque routes t into
-// the fast slot; otherwise t goes to the circular buffer, which keeps the
-// slot-holds-the-oldest invariant (see the type comment). The emptiness
-// check is sound against racing thieves: the owner's tail read is exact,
-// head never exceeds tail while the owner is outside popBuf, and thieves
-// only remove — so head >= tail proves the buffer empty, and a nil slot
-// stays nil until this store (only the owner writes non-nil). A thief that
-// drains the buffer right after the check merely sends t down the buffer
-// path, which is always correct.
+// push appends t at the bottom. Owner only. The paper reports a ~10 cycle
+// enqueue; this path is two atomic loads, one atomic store into the buffer,
+// and one atomic store of the new bottom — no CAS, no lock.
 func (d *deque) push(t *Task) {
-	if d.next.Load() == nil && d.head.Load() >= d.tail.Load() {
-		d.next.Store(t)
-		return
-	}
-	d.pushBuf(t)
-}
-
-// pushBuf appends t at the bottom of the circular buffer. Owner only. The
-// paper reports a ~10 cycle enqueue; this path is two atomic loads, one
-// atomic store into the buffer, and one atomic store of the new bottom —
-// no CAS, no lock.
-func (d *deque) pushBuf(t *Task) {
 	b := d.tail.Load()
 	buf := d.buf.Load()
 	if b-d.head.Load() > buf.mask { // full
@@ -148,58 +104,38 @@ func (d *deque) grow(b int64) {
 
 // pop removes and returns the most recently pushed task, or nil if the
 // deque is empty or the task was lost to a thief. Owner only, lock-free.
-// The buffer holds the newer tasks whenever the fast slot is occupied, so
-// LIFO order means draining the buffer first; the slot is swapped out last
-// (a thief's CAS and this Swap atomically arbitrate the claim — only the
-// owner stores non-nil, so the slot either still holds the loaded task or
-// a thief just took it, and Swap settles which).
-func (d *deque) pop() *Task {
-	if t := d.popBuf(); t != nil {
-		return t
-	}
-	if d.next.Load() != nil {
-		if t := d.next.Swap(nil); t != nil {
-			return t
-		}
-	}
-	// An empty pop is the owner's quiescence point, where a buffer grown
-	// for a past frontier is released; successful pops (including the slot
-	// path above) never pay the check.
-	d.shrink()
-	return nil
-}
-
-// popBuf removes and returns the bottom task of the circular buffer, or
-// nil if it is empty or the task was lost to a thief. Owner only.
 //
 // The owner is the only writer of tail, and head is monotone, so an
-// initial head >= tail read proves the buffer empty without touching tail.
+// initial head >= tail read proves the deque empty without touching tail.
 // A single remaining task is claimed by the same head CAS thieves use —
 // the arbiter for index h is always the CAS h→h+1, so the task goes to
 // exactly one side. Only the two-or-more case uses the Chase–Lev
 // decrement-first dance: publish the new bottom, then re-read head to see
 // whether thieves caught up while we were doing it.
 //
-// Every nil return leaves the buffer in the canonical empty state
-// (head == tail); the release of a grown buffer (shrink) is pop's job, so
-// a drain that ends in the fast slot does not pay it mid-pop.
-func (d *deque) popBuf() *Task {
+// Every nil return leaves the deque in the canonical empty state
+// (head == tail) and calls shrink.
+func (d *deque) pop() *Task {
 	b := d.tail.Load() - 1
 	h := d.head.Load()
 	if h > b {
-		return nil // empty (h == b+1): only the owner adds tasks
+		// Empty (h == b+1): only the owner adds tasks. This is the owner's
+		// quiescence point, where a buffer grown for a past frontier is
+		// released.
+		d.shrink()
+		return nil
 	}
 	buf := d.buf.Load()
 	if h == b {
 		// Single task: race thieves for it with the claiming CAS. No tail
 		// update needed — on either outcome head becomes b+1 == tail, the
 		// canonical empty state. Only the (rare, contended) losing outcome
-		// shrinks: the winning pop is the spawn-sync hot path, and the next
-		// empty pop will release the buffer anyway.
+		// shrinks: the winning pop is the spawn-sync hot path.
 		t := buf.slot[b&buf.mask].Load()
 		if d.head.CompareAndSwap(b, b+1) {
 			return t
 		}
+		d.shrink()
 		return nil
 	}
 	// At least two tasks were present: take the bottom one. Publish the
@@ -213,19 +149,17 @@ func (d *deque) popBuf() *Task {
 		// because claiming it requires head == b first.
 		return t
 	}
-	if h > b {
-		// Thieves drained everything, index b included, before our
-		// decrement was visible. Restore the canonical empty state.
+	if h == b && d.head.CompareAndSwap(b, b+1) {
+		// Ours was the last task and we won the claim against the thieves.
 		d.tail.Store(b + 1)
-		return nil
+		return t
 	}
-	// h == b: ours is the last task and thieves may be racing for it.
-	if !d.head.CompareAndSwap(b, b+1) {
-		d.tail.Store(b + 1)
-		return nil // a thief won the claim
-	}
+	// Thieves drained everything, index b included, before our decrement
+	// was visible (h > b), or a thief won the claim on the last task.
+	// Restore the canonical empty state.
 	d.tail.Store(b + 1)
-	return t
+	d.shrink()
+	return nil
 }
 
 // shrink resets a grown buffer back to the initial capacity once the owner
@@ -252,24 +186,12 @@ func (d *deque) shrink() {
 }
 
 // steal removes and returns the oldest task, or nil if the deque is empty.
-// Any thief may call it concurrently with the owner and with other thieves.
-// An occupied fast slot holds the deque's oldest task, so it is tried
-// first, claimed with a CAS (never a Swap: a Swap could yank a task the
-// thief never observed out from under a concurrent owner push); the buffer,
-// oldest-first as always, is the fallback.
+// Any thief may call it concurrently with the owner and with other
+// thieves; claims are arbitrated by the CAS on head. A failed CAS means
+// someone else (a thief, or the owner popping the last task) claimed the
+// observed index; the loop retries with fresh indices until it wins or
+// finds the deque empty.
 func (d *deque) steal() *Task {
-	if t := d.next.Load(); t != nil && d.next.CompareAndSwap(t, nil) {
-		return t
-	}
-	return d.stealBuf()
-}
-
-// stealBuf removes and returns the oldest task of the circular buffer, or
-// nil if it is empty; claims are arbitrated by the CAS on head. A failed
-// CAS means someone else (a thief, or the owner popping the last task)
-// claimed the observed index; the loop retries with fresh indices until it
-// wins or finds the buffer empty.
-func (d *deque) stealBuf() *Task {
 	for {
 		h := d.head.Load()
 		b := d.tail.Load()

@@ -114,7 +114,7 @@
 //
 // The per-task overhead target is the paper's: spawning and executing a
 // fork-join task should cost tens of nanoseconds, so a body a few hundred
-// instructions long still parallelizes profitably. Four mechanisms carry
+// instructions long still parallelizes profitably. Three mechanisms carry
 // the steady-state spawn/execute cycle without a single heap allocation
 // and with almost no shared-memory RMWs:
 //
@@ -138,10 +138,6 @@
 //     Executed attribution keyed by the job pointer, so Job.Stats costs
 //     nothing on the hot path and reads as a monotone lower bound that
 //     becomes exact at quiescence (see Job.Stats).
-//   - The deque fast slot (deque.go): a single-task spawn-then-sync cycle
-//     serves from a dedicated slot beside the Chase–Lev buffer, avoiding
-//     the buffer indexing and bounds machinery for the dominant
-//     depth-first case while preserving the owner-LIFO/thief-FIFO order.
 //   - The work-presence epoch (epoch.go): a worker whose full steal sweep
 //     found every victim empty skips further sweeps until the shard's
 //     epoch — bumped by work publication toward an idle pool — moves, so

@@ -170,7 +170,7 @@ func TestPanicInForEachBody(t *testing.T) {
 	defer rt.Close()
 	afterLoop := false
 	err := rt.Submit(func(w *Worker) {
-		w.ForEach(0, 1_000_000, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+		w.ForEach(0, 1_000_000, func(_ *Worker, lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				if i == 500_000 {
 					panic("boom-loop")
@@ -195,7 +195,7 @@ func TestForEachSerialFastPathPanic(t *testing.T) {
 	rt := NewRuntime(Config{Workers: 1})
 	defer rt.Close()
 	err := rt.Submit(func(w *Worker) {
-		w.ForEach(0, 10, LoopOpts{}, func(*Worker, int64, int64) { panic("boom-serial") })
+		w.ForEach(0, 10, func(*Worker, int64, int64) { panic("boom-serial") })
 	}).Wait()
 	wantPanicErr(t, err, "boom-serial", "")
 }
@@ -293,7 +293,7 @@ func TestCancelledForEachStopsExtracting(t *testing.T) {
 	started := make(chan struct{})
 	var once atomic.Bool
 	j = rt.Submit(func(w *Worker) {
-		w.ForEach(0, 1<<30, LoopOpts{SeqGrain: 1024}, func(_ *Worker, lo, hi int64) {
+		w.forEach(0, 1<<30, 1024, func(_ *Worker, lo, hi int64) {
 			if once.CompareAndSwap(false, true) {
 				close(started)
 			}
@@ -323,7 +323,7 @@ func TestCancelledForEachSerialPath(t *testing.T) {
 	var j *Job
 	j = rt.Submit(func(w *Worker) {
 		<-ready // j is assigned before the body proceeds
-		w.ForEach(0, 1<<20, LoopOpts{SeqGrain: 1024}, func(*Worker, int64, int64) {
+		w.forEach(0, 1<<20, 1024, func(*Worker, int64, int64) {
 			if chunks.Add(1) == 1 {
 				j.Cancel()
 			}
@@ -355,7 +355,7 @@ func TestAbortedForEachWaitsForRunningChunks(t *testing.T) {
 	var chunkDone atomic.Bool
 	var once atomic.Bool
 	j := rt.Submit(func(w *Worker) {
-		w.ForEach(0, 1<<20, LoopOpts{SeqGrain: 1}, func(*Worker, int64, int64) {
+		w.forEach(0, 1<<20, 1, func(*Worker, int64, int64) {
 			if once.CompareAndSwap(false, true) {
 				close(inChunk)
 				<-release

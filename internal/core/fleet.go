@@ -24,10 +24,8 @@ type FleetConfig struct {
 	// NoSteal disables the cross-shard steal path, leaving only the router
 	// (ablation: pure least-load placement). A 1-shard fleet never steals.
 	NoSteal bool
-	// Runtime is the per-shard template: aggregation, chaos and the base
-	// seed apply to every shard (each shard derives a distinct
-	// victim-selection stream from the seed). Workers is overridden by
-	// ShardSize.
+	// Runtime is the per-shard template: aggregation and chaos apply to
+	// every shard. Workers is overridden by ShardSize.
 	Runtime Config
 }
 
@@ -74,18 +72,10 @@ type ShardStats struct {
 func NewFleet(cfg FleetConfig) *Fleet {
 	cfg.Shards = max(cfg.Shards, 1)
 	cfg.Runtime.Workers = cfg.ShardSize
-	if cfg.Runtime.Seed == 0 {
-		cfg.Runtime.Seed = defaultSeed
-	}
 	f := &Fleet{cfg: cfg, noSteal: cfg.NoSteal || cfg.Shards == 1}
 	f.shards = make([]*Runtime, cfg.Shards)
 	for i := range f.shards {
-		sc := cfg.Runtime
-		// Distinct per-shard seed streams: two shards must not probe their
-		// victims in lockstep. The increment is the 64-bit golden-ratio
-		// constant, so shard seeds stay well spread for any base seed.
-		sc.Seed = cfg.Runtime.Seed + uint64(i)*0x9E3779B97F4A7C15
-		f.shards[i] = newRuntime(sc, f, i)
+		f.shards[i] = newRuntime(cfg.Runtime, f, i)
 	}
 	// Two-phase startup: every shard is constructed and published in
 	// f.shards before any worker runs, because a worker may hit the
@@ -246,13 +236,6 @@ func (f *Fleet) Stats() Stats {
 		s.Add(sh.Stats())
 	}
 	return s
-}
-
-// ResetStats zeroes every shard's counters; quiescent fleets only.
-func (f *Fleet) ResetStats() {
-	for _, s := range f.shards {
-		s.ResetStats()
-	}
 }
 
 // ShardStats returns one entry per shard, in shard order.

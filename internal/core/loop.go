@@ -9,32 +9,13 @@ import (
 )
 
 func xrandSeed(base uint64, i int) xrand.Rand {
-	return xrand.New(base + uint64(i)*0x9E3779B97F4A7C15 + 1)
-}
-
-// LoopOpts tunes ForEach. The zero value selects the defaults of
-// kaapic_foreach: the iteration space is pre-partitioned into one reserved
-// slice per worker, owners extract SeqGrain iterations at a time, and
-// splitters leave intervals shorter than ParGrain alone.
-type LoopOpts struct {
-	// SeqGrain is the number of iterations the executing worker claims per
-	// extraction; it bounds the window during which work cannot be stolen.
-	// Zero selects n/(16*workers), at least 1.
-	SeqGrain int64
-	// ParGrain is the minimum remaining width a splitter will divide.
-	// Zero selects SeqGrain.
-	ParGrain int64
-	// Slices is the number of reserved slices the range is pre-partitioned
-	// into ("one slice reserved to each available core", §II-E). Zero
-	// selects the worker count.
-	Slices int
+	return xrand.New(base + uint64(i)*seedStep + 1)
 }
 
 // loopCtx is the shared state of one ForEach invocation.
 type loopCtx struct {
 	body      func(*Worker, int64, int64)
-	seqGrain  int64
-	parGrain  int64
+	grain     int64        // iterations per extraction; also the narrowest split
 	job       *Job         // job of the ForEach caller: failure/cancel scope
 	pending   atomic.Int64 // iterations neither executed nor abort-credited
 	nextSlice atomic.Int32
@@ -108,7 +89,7 @@ func (lc *loopCtx) runChunk(w *Worker, lo, hi int64) (ok bool) {
 
 // paddedInterval is the reserved-slice slot: one Interval per worker,
 // padded to a full cache line. A slice's owner CASes its bits word every
-// SeqGrain iterations while thieves probe and retreat neighbouring
+// grain iterations while thieves probe and retreat neighbouring
 // slices; without the pad, four 16-byte Intervals share one line and
 // every extraction bounces it across the cores that reserved them.
 // (Interval itself stays unpadded: it is a public standalone type, and
@@ -157,7 +138,7 @@ func (la *loopAdaptive) split(thief *Worker, n int) []*Task {
 		if iv := la.iv.Load(); iv != nil {
 			rem := iv.Remaining()
 			take := rem * int64(k) / int64(k+1)
-			if take >= lc.parGrain && take > 0 {
+			if take >= lc.grain && take > 0 {
 				if lo, hi, ok := iv.ExtractBack(take); ok {
 					out = thief.appendLoopTasks(out, lc, lo, hi, k)
 				}
@@ -169,7 +150,7 @@ func (la *loopAdaptive) split(thief *Worker, n int) []*Task {
 
 // canSplit reports whether split would give one thief a task now: a
 // reserved slice nobody has claimed, or a live interval whose back half is
-// at least parGrain wide (split's share for k = 1). Both only shrink while
+// at least grain wide (split's share for k = 1). Both only shrink while
 // the owner iterates, so a thief told no need not ask again until a new
 // adaptive section wakes it.
 func (la *loopAdaptive) canSplit() bool {
@@ -178,7 +159,7 @@ func (la *loopAdaptive) canSplit() bool {
 		return true
 	}
 	iv := la.iv.Load()
-	return iv != nil && iv.Remaining()/2 >= lc.parGrain
+	return iv != nil && iv.Remaining()/2 >= lc.grain
 }
 
 // newLoopTask wraps an interval into a free-standing adaptive task. Loop
@@ -232,7 +213,7 @@ func (w *Worker) loopRun(lc *loopCtx, iv *Interval) {
 	for iv != nil {
 		la.iv.Store(iv)
 		for !lc.aborted() {
-			clo, chi, ok := iv.ExtractFront(lc.seqGrain)
+			clo, chi, ok := iv.ExtractFront(lc.grain)
 			if !ok {
 				break
 			}
@@ -268,22 +249,24 @@ func (w *Worker) loopRun(lc *loopCtx, iv *Interval) {
 // rather than a task per chunk. The caller participates in execution and, if
 // the loop is fully distributed, schedules unrelated ready tasks while
 // waiting for the last iterations.
-func (w *Worker) ForEach(lo, hi int64, opt LoopOpts, body func(w *Worker, lo, hi int64)) {
+//
+// The grain — iterations the executing worker claims per extraction, which
+// bounds the window during which work cannot be stolen, and the narrowest
+// interval a splitter divides — is n/(16·workers), at least 1, and the
+// range is pre-partitioned into one reserved slice per worker ("one slice
+// reserved to each available core", §II-E).
+func (w *Worker) ForEach(lo, hi int64, body func(w *Worker, lo, hi int64)) {
+	w.forEach(lo, hi, max(1, (hi-lo)/int64(16*len(w.rt.workers))), body)
+}
+
+// forEach is ForEach with an explicit grain (>= 1).
+func (w *Worker) forEach(lo, hi, grain int64, body func(w *Worker, lo, hi int64)) {
 	n := hi - lo
 	if n <= 0 {
 		return
 	}
 	p := len(w.rt.workers)
-	if opt.SeqGrain <= 0 {
-		opt.SeqGrain = n / int64(16*p)
-		if opt.SeqGrain < 1 {
-			opt.SeqGrain = 1
-		}
-	}
-	if opt.ParGrain <= 0 {
-		opt.ParGrain = opt.SeqGrain
-	}
-	if p == 1 || n <= opt.SeqGrain {
+	if p == 1 || n <= grain {
 		// Serial fast path — same failure contract as the parallel path:
 		// poll the job at every grain boundary so Cancel/ctx stop the loop,
 		// and unwind the calling body instead of returning normally after a
@@ -292,11 +275,11 @@ func (w *Worker) ForEach(lo, hi int64, opt LoopOpts, body func(w *Worker, lo, hi
 		if w.cur != nil {
 			job = w.cur.job
 		}
-		for clo := lo; clo < hi; clo += opt.SeqGrain {
+		for clo := lo; clo < hi; clo += grain {
 			if job != nil && job.aborted() {
 				panic(abortUnwind{job.Err()})
 			}
-			chi := clo + opt.SeqGrain
+			chi := clo + grain
 			if chi > hi {
 				chi = hi
 			}
@@ -307,10 +290,7 @@ func (w *Worker) ForEach(lo, hi int64, opt LoopOpts, body func(w *Worker, lo, hi
 		}
 		return
 	}
-	nSlices := opt.Slices
-	if nSlices <= 0 {
-		nSlices = p
-	}
+	nSlices := p
 	if int64(nSlices) > n {
 		nSlices = int(n)
 	}
@@ -318,7 +298,7 @@ func (w *Worker) ForEach(lo, hi int64, opt LoopOpts, body func(w *Worker, lo, hi
 	for n/int64(nSlices) >= intervalMaxWidth {
 		nSlices *= 2
 	}
-	lc := &loopCtx{body: body, seqGrain: opt.SeqGrain, parGrain: opt.ParGrain}
+	lc := &loopCtx{body: body, grain: grain}
 	if w.cur != nil {
 		lc.job = w.cur.job
 	}

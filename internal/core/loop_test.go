@@ -12,7 +12,7 @@ func TestForEachCoversAllIterations(t *testing.T) {
 			const n = 100000
 			hits := make([]int32, n)
 			rt.RunRoot(func(w *Worker) {
-				w.ForEach(0, n, LoopOpts{}, func(w *Worker, lo, hi int64) {
+				w.ForEach(0, n, func(w *Worker, lo, hi int64) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}
@@ -31,16 +31,16 @@ func TestForEachEmptyAndTinyRanges(t *testing.T) {
 	withRuntime(t, Config{Workers: 4}, func(rt *Runtime) {
 		rt.RunRoot(func(w *Worker) {
 			ran := false
-			w.ForEach(5, 5, LoopOpts{}, func(*Worker, int64, int64) { ran = true })
+			w.ForEach(5, 5, func(*Worker, int64, int64) { ran = true })
 			if ran {
 				t.Error("body ran for empty range")
 			}
-			w.ForEach(7, 3, LoopOpts{}, func(*Worker, int64, int64) { ran = true })
+			w.ForEach(7, 3, func(*Worker, int64, int64) { ran = true })
 			if ran {
 				t.Error("body ran for inverted range")
 			}
 			var count int64
-			w.ForEach(0, 1, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+			w.ForEach(0, 1, func(_ *Worker, lo, hi int64) {
 				atomic.AddInt64(&count, hi-lo)
 			})
 			if count != 1 {
@@ -56,7 +56,7 @@ func TestForEachExplicitGrain(t *testing.T) {
 		var maxChunk atomic.Int64
 		var total atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, n, LoopOpts{SeqGrain: 10}, func(_ *Worker, lo, hi int64) {
+			w.forEach(0, n, 10, func(_ *Worker, lo, hi int64) {
 				if sz := hi - lo; sz > maxChunk.Load() {
 					maxChunk.Store(sz)
 				}
@@ -67,7 +67,7 @@ func TestForEachExplicitGrain(t *testing.T) {
 			t.Fatalf("total=%d want %d", total.Load(), n)
 		}
 		if maxChunk.Load() > 10 {
-			t.Fatalf("chunk of %d iterations exceeds SeqGrain=10", maxChunk.Load())
+			t.Fatalf("chunk of %d iterations exceeds grain=10", maxChunk.Load())
 		}
 	})
 }
@@ -76,7 +76,7 @@ func TestForEachNegativeBounds(t *testing.T) {
 	withRuntime(t, Config{Workers: 3}, func(rt *Runtime) {
 		var sum atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(-500, 500, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+			w.ForEach(-500, 500, func(_ *Worker, lo, hi int64) {
 				s := int64(0)
 				for i := lo; i < hi; i++ {
 					s += i
@@ -95,10 +95,10 @@ func TestForEachNested(t *testing.T) {
 		const n, m = 64, 64
 		hits := make([]int32, n*m)
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, n, LoopOpts{}, func(w *Worker, lo, hi int64) {
+			w.ForEach(0, n, func(w *Worker, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					i := i
-					w.ForEach(0, m, LoopOpts{}, func(_ *Worker, jlo, jhi int64) {
+					w.ForEach(0, m, func(_ *Worker, jlo, jhi int64) {
 						for j := jlo; j < jhi; j++ {
 							atomic.AddInt32(&hits[i*m+j], 1)
 						}
@@ -121,7 +121,7 @@ func TestForEachUnbalancedBodies(t *testing.T) {
 		const n = 2000
 		var sum atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, n, LoopOpts{SeqGrain: 4}, func(_ *Worker, lo, hi int64) {
+			w.forEach(0, n, 4, func(_ *Worker, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					work := 1
 					if i%97 == 0 {
@@ -149,7 +149,7 @@ func TestForEachMixedWithTasks(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				w.Spawn(func(*Worker) { taskSum.Add(1) })
 			}
-			w.ForEach(0, 10000, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+			w.ForEach(0, 10000, func(_ *Worker, lo, hi int64) {
 				loopSum.Add(hi - lo)
 			})
 			w.Sync()
@@ -165,7 +165,7 @@ func TestForEachWithoutAggregation(t *testing.T) {
 		const n = 50000
 		var total atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, n, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+			w.ForEach(0, n, func(_ *Worker, lo, hi int64) {
 				total.Add(hi - lo)
 			})
 		})
@@ -180,13 +180,17 @@ func TestForEachQuickExactlyOnce(t *testing.T) {
 		f := func(n uint16, grain uint8) bool {
 			size := int64(n)
 			hits := make([]int32, size)
+			body := func(_ *Worker, lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			}
 			rt.RunRoot(func(w *Worker) {
-				w.ForEach(0, size, LoopOpts{SeqGrain: int64(grain)},
-					func(_ *Worker, lo, hi int64) {
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&hits[i], 1)
-						}
-					})
+				if grain == 0 {
+					w.ForEach(0, size, body) // the default grain
+				} else {
+					w.forEach(0, size, int64(grain), body)
+				}
 			})
 			for _, h := range hits {
 				if h != 1 {
@@ -208,10 +212,9 @@ func TestForEachSplitStats(t *testing.T) {
 	// when it opens get a CPU before it ends even while other test
 	// processes load the machine.
 	withRuntime(t, Config{Workers: 4}, func(rt *Runtime) {
-		rt.ResetStats()
 		var spin atomic.Int64
 		rt.RunRoot(func(w *Worker) {
-			w.ForEach(0, 1<<20, LoopOpts{SeqGrain: 64}, func(_ *Worker, lo, hi int64) {
+			w.forEach(0, 1<<20, 64, func(_ *Worker, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					spin.Add(1)
 				}
@@ -225,18 +228,17 @@ func TestForEachSplitStats(t *testing.T) {
 }
 
 // A thief must not post steal requests to a loop whose splitter has nothing
-// left to give: a live interval under 2·ParGrain, or an owner on its last
+// left to give: a live interval under 2·grain, or an owner on its last
 // chunk. Before the splitter could say so, idle workers spun on such loops
 // — on this shape about 200 000 splitter calls for 300 tasks, and tens of
 // thousands of parks aborted. The count needs no clock: at least one
 // splitter call in four must yield a task.
 func TestForEachSplitsYield(t *testing.T) {
 	withRuntime(t, Config{Workers: 2}, func(rt *Runtime) {
-		rt.ResetStats()
 		var total atomic.Int64
 		rt.RunRoot(func(w *Worker) {
 			for range 200 {
-				w.ForEach(0, 2_000_000, LoopOpts{}, func(_ *Worker, lo, hi int64) {
+				w.ForEach(0, 2_000_000, func(_ *Worker, lo, hi int64) {
 					var s int64
 					for i := lo; i < hi; i++ {
 						s += i

@@ -20,9 +20,6 @@ type Config struct {
 	// NoAggregation disables steal-request aggregation; each thief then
 	// locks the victim's deque itself (ablation of §II-C).
 	NoAggregation bool
-	// Seed is the base seed for per-worker victim-selection RNGs. Zero
-	// selects a fixed default, making victim sequences reproducible.
-	Seed uint64
 	// Chaos installs a fault injector: task-body panics, steal-probe
 	// misses, worker stalls and inbox delivery delays are then drawn from
 	// its seeded decision streams. nil (the default) disables injection
@@ -81,9 +78,14 @@ type Runtime struct {
 	wg   sync.WaitGroup
 }
 
-// defaultSeed is the base of the per-worker victim-selection RNG streams
-// when Config.Seed is zero, making default schedules reproducible.
-const defaultSeed = 0x853C49E6748FEA9B
+// defaultSeed is the base of the per-worker victim-selection RNG streams.
+// Shard i of a fleet starts its streams at defaultSeed + i·seedStep, and
+// worker j's stream is that base + j·seedStep (xrandSeed); a bare
+// NewRuntime is shard 0. seedStep is the 64-bit golden-ratio constant.
+const (
+	defaultSeed = 0x853C49E6748FEA9B
+	seedStep    = 0x9E3779B97F4A7C15
+)
 
 // NewRuntime creates the worker pool: cfg.Workers goroutines are started
 // (and park when idle); work reaches them through Submit or RunRoot.
@@ -108,10 +110,7 @@ func newRuntime(cfg Config, fleet *Fleet, shard int) *Runtime {
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	rt.jobsCond = sync.NewCond(&rt.jobsMu)
 	rt.workers = make([]*Worker, cfg.Workers)
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
+	seed := defaultSeed + uint64(shard)*seedStep
 	for i := range rt.workers {
 		w := &Worker{
 			id:         i,
@@ -260,8 +259,8 @@ func (rt *Runtime) load() int64 {
 // Stats sums the per-worker counters plus the externally submitted root
 // count. All counters are per-worker padded atomics, so Stats may be read
 // at any time; while jobs are in flight the result is a consistent lower
-// bound (each counter is monotone between resets, but the sum is not taken
-// at a single instant, and a busy worker may hold up to statFlushEvery
+// bound (each counter is monotone, but the sum is not taken at a single
+// instant, and a busy worker may hold up to statFlushEvery
 // spawned/executed increments in its batch cache). Invariants such as
 // Spawned == Executed + Cancelled hold exactly once the runtime is
 // quiescent: every path into idleness — park, failed steal round, wait
@@ -272,28 +271,6 @@ func (rt *Runtime) Stats() Stats {
 		s.Add(w.stats.snapshot())
 	}
 	return s
-}
-
-// ResetStats zeroes all per-worker counters and the external root count.
-// Call it only while quiescent: resetting under live increments loses no
-// memory safety (the counters are atomics) but produces meaningless sums.
-// On a quiescent pool it first waits (a bounded spin) for workers still
-// winding down to publish their increment caches; once a worker has
-// parked its cache is clean, so in practice a reset right after Wait is
-// not followed by a stale flush reinflating the zeroed counters. The wait
-// is bounded, not a guarantee — a worker descheduled mid-wind-down past
-// the bound can still flush late, which is one more reason this API is
-// quiescent-only.
-func (rt *Runtime) ResetStats() {
-	for _, w := range rt.workers {
-		for i := 0; w.cache.dirty.Load() && i < 10_000; i++ {
-			runtime.Gosched()
-		}
-	}
-	rt.extSpawned.Store(0)
-	for _, w := range rt.workers {
-		w.stats.reset()
-	}
 }
 
 // maybeWake signals one parked worker if any worker is idle. The push it

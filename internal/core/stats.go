@@ -15,10 +15,7 @@ import "sync/atomic"
 const statFlushEvery = 64
 
 // statCache is one worker's pending increments. Only the owning worker
-// touches the counts; dirty is the single cross-thread word — set (once
-// per batch) when the cache becomes non-empty, cleared by flush — so
-// ResetStats can wait for quiescent workers to publish without reading
-// unsynchronized counters.
+// touches it.
 //
 // Besides the pool-global counters, the cache also batches the per-job
 // Executed attribution (jobfail.Counters), keyed by the job of the task
@@ -30,7 +27,7 @@ const statFlushEvery = 64
 //
 // The trailing pad keeps the cache — hammered by the owner on every task —
 // off the cache line of whatever field follows it in Worker. Concretely,
-// deque.next lives there: thieves CAS that slot, and without the pad every
+// deque.head lives there: thieves CAS that word, and without the pad every
 // steal attempt would bounce the line the owner's counter writes go
 // through (the atomicpad fixtures cover this shape; see
 // internal/analysis/atomicpad).
@@ -42,8 +39,7 @@ type statCache struct {
 	job         *Job  // job the jobExecuted batch is attributed to
 	jobExecuted int64 // executed tasks of job not yet published to job.counts
 
-	dirty atomic.Bool
-	_     [64]byte // pad: owner-hot words share no line with the next field
+	_ [64]byte // pad: owner-hot words share no line with the next field
 }
 
 // Stats is a snapshot of the scheduler event counters, summed over workers.
@@ -123,9 +119,9 @@ type workerStats struct {
 }
 
 // snapshot reads all counters. Safe at any time: each counter is atomic
-// and monotone between resets, so a live snapshot is a consistent lower
-// bound of each counter (the sum across workers is not a single instant,
-// but every component only grows).
+// and monotone, so a live snapshot is a consistent lower bound of each
+// counter (the sum across workers is not a single instant, but every
+// component only grows).
 func (ws *workerStats) snapshot() Stats {
 	return Stats{
 		Spawned:       ws.spawned.Load(),
@@ -143,21 +139,4 @@ func (ws *workerStats) snapshot() Stats {
 		SplitTasks:    ws.splitTasks.Load(),
 		Parks:         ws.parks.Load(),
 	}
-}
-
-func (ws *workerStats) reset() {
-	ws.spawned.Store(0)
-	ws.executed.Store(0)
-	ws.readyReleases.Store(0)
-	ws.panicked.Store(0)
-	ws.cancelled.Store(0)
-	ws.stealRequests.Store(0)
-	ws.stealHits.Store(0)
-	ws.stealProbes.Store(0)
-	ws.epochSkips.Store(0)
-	ws.combines.Store(0)
-	ws.combineServed.Store(0)
-	ws.splits.Store(0)
-	ws.splitTasks.Store(0)
-	ws.parks.Store(0)
 }

@@ -10,7 +10,7 @@ import (
 // a running job and asserts the properties the /stats endpoint depends on:
 // Executed is published live (non-zero well before the job completes) and
 // monotone non-decreasing across samples (each per-worker counter is a
-// padded atomic that only grows between resets). Running under -race (the
+// padded atomic that only grows). Running under -race (the
 // race tier includes this package) additionally proves the reads are
 // race-free against the task hot path — the property the old plain-int
 // counters could not offer.

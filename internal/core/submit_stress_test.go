@@ -36,7 +36,6 @@ func TestSubmitConcurrentStress(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		withRuntime(t, Config{Workers: workers}, func(rt *Runtime) {
-			rt.ResetStats()
 			var wg sync.WaitGroup
 			errs := make(chan string, clients*jobsPerClient)
 			for c := 0; c < clients; c++ {
@@ -54,7 +53,7 @@ func TestSubmitConcurrentStress(t *testing.T) {
 						case 1: // adaptive loop
 							var sum atomic.Int64
 							rt.Submit(func(w *Worker) {
-								w.ForEach(0, int64(loopN), LoopOpts{}, func(_ *Worker, lo, hi int64) {
+								w.ForEach(0, int64(loopN), func(_ *Worker, lo, hi int64) {
 									s := int64(0)
 									for i := lo; i < hi; i++ {
 										s += i

@@ -75,9 +75,6 @@ type Worker struct {
 // increment instead of a LOCK-prefixed RMW.
 func (w *Worker) noteSpawned() {
 	c := &w.cache
-	if c.pending == 0 {
-		c.dirty.Store(true)
-	}
 	c.spawned++
 	c.pending++
 	if c.pending >= statFlushEvery {
@@ -95,9 +92,6 @@ func (w *Worker) noteSpawned() {
 // see Job.Stats for the exactness contract.
 func (w *Worker) noteExecuted(j *Job) {
 	c := &w.cache
-	if c.pending == 0 {
-		c.dirty.Store(true)
-	}
 	c.executed++
 	c.pending++
 	if j != c.job {
@@ -155,7 +149,6 @@ func (w *Worker) flushStats() {
 		c.jobExecuted = 0
 	}
 	c.pending = 0
-	c.dirty.Store(false)
 }
 
 // ID returns the worker index in [0, NumWorkers).

@@ -93,7 +93,7 @@ func Map[T, U any](p *xkaapi.Proc, dst []U, src []T, f func(T) U) {
 // Reduce folds xs with the associative, commutative op; id must be its
 // identity.
 func Reduce[T any](p *xkaapi.Proc, xs []T, id T, op func(T, T) T) T {
-	return xkaapi.ForeachReduce(p, 0, len(xs), xkaapi.LoopOpts{},
+	return xkaapi.ForeachReduce(p, 0, len(xs),
 		func() T { return id },
 		func(_ *xkaapi.Proc, lo, hi int, acc T) T {
 			for i := lo; i < hi; i++ {
@@ -112,7 +112,7 @@ func Sum[T int | int32 | int64 | float32 | float64](p *xkaapi.Proc, xs []T) T {
 
 // Count returns how many elements satisfy pred.
 func Count[T any](p *xkaapi.Proc, xs []T, pred func(T) bool) int {
-	return xkaapi.ForeachReduce(p, 0, len(xs), xkaapi.LoopOpts{},
+	return xkaapi.ForeachReduce(p, 0, len(xs),
 		func() int { return 0 },
 		func(_ *xkaapi.Proc, lo, hi, acc int) int {
 			for i := lo; i < hi; i++ {
@@ -132,7 +132,7 @@ func MinIndex[T any](p *xkaapi.Proc, xs []T, less func(a, b T) bool) int {
 	if len(xs) == 0 {
 		return -1
 	}
-	best := xkaapi.ForeachReduce(p, 0, len(xs), xkaapi.LoopOpts{},
+	best := xkaapi.ForeachReduce(p, 0, len(xs),
 		func() int { return -1 },
 		func(_ *xkaapi.Proc, lo, hi, acc int) int {
 			for i := lo; i < hi; i++ {

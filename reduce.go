@@ -8,22 +8,23 @@ type reduceSlot[T any] struct {
 	_   [64]byte
 }
 
-// ForeachReduce runs a parallel loop that folds a result. Each worker
-// lazily initializes a private accumulator with init, threads it through its
-// chunks via body, and the per-worker results are combined (in worker-id
-// order) after the loop. combine must be associative and commutative, and
-// init must return the identity of combine, because how iterations are
-// grouped onto workers depends on stealing.
+// ForeachReduce runs a parallel loop that folds a result. The loop is
+// Foreach's, at its grain. Each worker lazily initializes a private
+// accumulator with init, threads it through its chunks via body, and the
+// per-worker results are combined (in worker-id order) after the loop.
+// combine must be associative and commutative, and init must return the
+// identity of combine, because how iterations are grouped onto workers
+// depends on stealing.
 //
 // This is the reduction support of kaapic_foreach: the paper's CW
 // (cumulative write) access made convenient for loops.
-func ForeachReduce[T any](p *Proc, lo, hi int, opt LoopOpts,
+func ForeachReduce[T any](p *Proc, lo, hi int,
 	init func() T,
 	body func(p *Proc, lo, hi int, acc T) T,
 	combine func(a, b T) T,
 ) T {
 	slots := make([]reduceSlot[T], p.NumWorkers())
-	ForeachOpts(p, lo, hi, opt, func(w *Proc, l, h int) {
+	Foreach(p, lo, hi, func(w *Proc, l, h int) {
 		s := &slots[w.ID()]
 		if !s.set {
 			s.v = init()

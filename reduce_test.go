@@ -11,7 +11,7 @@ func TestForeachReduceSum(t *testing.T) {
 	const n = 100000
 	var got int64
 	rt.Run(func(p *xkaapi.Proc) {
-		got = xkaapi.ForeachReduce(p, 0, n, xkaapi.LoopOpts{},
+		got = xkaapi.ForeachReduce(p, 0, n,
 			func() int64 { return 0 },
 			func(_ *xkaapi.Proc, lo, hi int, acc int64) int64 {
 				for i := lo; i < hi; i++ {
@@ -31,7 +31,7 @@ func TestForeachReduceSum(t *testing.T) {
 func TestForeachReduceEmptyRange(t *testing.T) {
 	rt := newRT(t, xkaapi.WithWorkers(2))
 	rt.Run(func(p *xkaapi.Proc) {
-		got := xkaapi.ForeachReduce(p, 3, 3, xkaapi.LoopOpts{},
+		got := xkaapi.ForeachReduce(p, 3, 3,
 			func() int { return 0 },
 			func(_ *xkaapi.Proc, lo, hi, acc int) int { return acc + (hi - lo) },
 			func(a, b int) int { return a + b },
@@ -51,7 +51,7 @@ func TestForeachReduceMax(t *testing.T) {
 	data[7777] = 1e9
 	var got float64
 	rt.Run(func(p *xkaapi.Proc) {
-		got = xkaapi.ForeachReduce(p, 0, len(data), xkaapi.LoopOpts{},
+		got = xkaapi.ForeachReduce(p, 0, len(data),
 			func() float64 { return -1 },
 			func(_ *xkaapi.Proc, lo, hi int, acc float64) float64 {
 				for i := lo; i < hi; i++ {

@@ -232,6 +232,17 @@ func (s *Server) InFlight() int { return s.adq.inFlight() }
 // QueueDepth returns the number of requests currently waiting for a slot.
 func (s *Server) QueueDepth() int { return s.adq.depth() }
 
+// PanicRetried returns the number of job attempts resubmitted after a
+// panic (Config.PanicRetries), summed over the endpoints: each one is a
+// failed job in the runtime's counts that no client saw.
+func (s *Server) PanicRetried() int64 {
+	var n int64
+	for _, ep := range s.eps {
+		n += ep.stats.panicRetried.Load()
+	}
+	return n
+}
+
 // StartDrain switches the server into draining mode: /healthz reports 503
 // so load balancers stop routing here, new workload requests are refused
 // with 503, and every request waiting in the admission queue is refused the

@@ -7,8 +7,9 @@
 //   - dataflow tasks: Proc.SpawnTask with Read/Write/ReadWrite/CumulWrite
 //     accesses to shared Handles; the runtime computes true dependencies and
 //     schedules tasks as their inputs are produced;
-//   - adaptive parallel loops: Foreach, which creates work on demand as
-//     cores become idle instead of a task per chunk.
+//   - adaptive parallel loops: Foreach and ForeachReduce, which create work
+//     on demand as cores become idle instead of a task per chunk; the grain
+//     follows from the range and the worker count.
 //
 // # Quick start
 //
@@ -201,10 +202,6 @@ const (
 // Stats aggregates scheduler event counters; see Runtime.Stats.
 type Stats = core.Stats
 
-// LoopOpts tunes Foreach grains and slicing; the zero value selects the
-// kaapic_foreach defaults.
-type LoopOpts = core.LoopOpts
-
 // Adaptive lets a task publish a splitter so thieves can divide its
 // remaining work on demand; see Proc.SetAdaptive and the paper's §II-D.
 type Adaptive = core.Adaptive
@@ -251,10 +248,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.Runtime.Workers = n 
 // It is the paper's §II-C ablation: the ablations row of the figure table
 // in internal/figs (`xkfig ablations`).
 func WithoutAggregation() Option { return func(c *config) { c.Runtime.NoAggregation = true } }
-
-// WithSeed sets the base seed of the victim-selection RNGs, for reproducible
-// schedules in tests.
-func WithSeed(seed uint64) Option { return func(c *config) { c.Runtime.Seed = seed } }
 
 // WithShards splits the pool into n runtime shards behind a load-aware
 // router: each submitted job is placed on the least-loaded shard, and idle
@@ -411,13 +404,10 @@ func (r *Runtime) ShardStats() []ShardStats { return r.rt.ShardStats() }
 // String describes the pool shape: shards, workers, cross-shard stealing.
 func (r *Runtime) String() string { return r.rt.String() }
 
-// ResetStats zeroes the scheduler counters; call it between Runs.
-func (r *Runtime) ResetStats() { r.rt.ResetStats() }
-
 // Foreach runs body over [lo, hi) in parallel on r and returns when every
 // index has been processed (or the loop failed: a panicking body aborts the
 // loop and is reported as a *PanicError). It is shorthand for Run +
-// Proc.ForEach with default grains.
+// Foreach.
 func (r *Runtime) Foreach(lo, hi int, body func(p *Proc, lo, hi int)) error {
 	return r.Run(func(p *Proc) { Foreach(p, lo, hi, body) })
 }
@@ -425,20 +415,11 @@ func (r *Runtime) Foreach(lo, hi int, body func(p *Proc, lo, hi int)) error {
 // Foreach applies body to sub-ranges of [lo, hi) from within a running task,
 // using the adaptive loop of the paper (§II-E): the range is pre-partitioned
 // into one reserved slice per worker and further divided on demand when
-// thieves ask for work.
+// thieves ask for work. The executing worker claims n/(16·workers)
+// iterations at a time (at least one), the grain below which no thief
+// splits.
 func Foreach(p *Proc, lo, hi int, body func(p *Proc, lo, hi int)) {
-	ForeachOpts(p, lo, hi, LoopOpts{}, body)
-}
-
-// ForeachGrain is Foreach with an explicit sequential grain: the executing
-// worker claims chunks of exactly grain iterations (except the last).
-func ForeachGrain(p *Proc, lo, hi, grain int, body func(p *Proc, lo, hi int)) {
-	ForeachOpts(p, lo, hi, LoopOpts{SeqGrain: int64(grain)}, body)
-}
-
-// ForeachOpts is Foreach with full control over grains and slicing.
-func ForeachOpts(p *Proc, lo, hi int, opt LoopOpts, body func(p *Proc, lo, hi int)) {
-	p.ForEach(int64(lo), int64(hi), opt, func(w *Proc, l, h int64) {
+	p.ForEach(int64(lo), int64(hi), func(w *Proc, l, h int64) {
 		body(w, int(l), int(h))
 	})
 }

@@ -132,34 +132,6 @@ func TestRuntimeForeach(t *testing.T) {
 	}
 }
 
-func TestForeachGrain(t *testing.T) {
-	rt := newRT(t, xkaapi.WithWorkers(2))
-	var maxChunk atomic.Int64
-	rt.Run(func(p *xkaapi.Proc) {
-		xkaapi.ForeachGrain(p, 0, 10000, 16, func(_ *xkaapi.Proc, lo, hi int) {
-			if sz := int64(hi - lo); sz > maxChunk.Load() {
-				maxChunk.Store(sz)
-			}
-		})
-	})
-	if maxChunk.Load() > 16 {
-		t.Fatalf("chunk %d exceeds grain 16", maxChunk.Load())
-	}
-}
-
-func TestStatsAndReset(t *testing.T) {
-	rt := newRT(t, xkaapi.WithWorkers(2), xkaapi.WithSeed(7))
-	var r int64
-	rt.Run(func(p *xkaapi.Proc) { fib(p, &r, 15) })
-	if s := rt.Stats(); s.Spawned == 0 {
-		t.Fatalf("no spawns recorded: %+v", s)
-	}
-	rt.ResetStats()
-	if s := rt.Stats(); s.Spawned != 0 {
-		t.Fatalf("reset did not clear spawns: %+v", s)
-	}
-}
-
 func TestWithoutAggregation(t *testing.T) {
 	rt := newRT(t, xkaapi.WithWorkers(4), xkaapi.WithoutAggregation())
 	var r int64
