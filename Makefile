@@ -8,7 +8,8 @@ test:
 	$(GO) test ./...
 
 # Race tier: the concurrency-critical packages under the race detector —
-# the shared failure state machine (internal/jobfail), the scheduler core,
+# the shared failure state machine (internal/jobfail), the shared idle path
+# (internal/pool: root inbox, admission, park/wake), the scheduler core,
 # the fault-injection harness (internal/chaos), the parallel algorithms
 # that hammer it, the HTTP front-end, the public facade, and every paradigm
 # layer embedding the jobfail protocol (cilk, gomp, komp, tbbsched, quark),
@@ -18,7 +19,7 @@ test:
 # differently, and the serve process (cmd/xkserve: SIGTERM drain, chaos on
 # four shards). -short keeps the stress tests and the process tests' loads
 # at their trimmed sizes.
-RACE_PKGS = . ./internal/jobfail ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs ./internal/blas ./cmd/xkserve
+RACE_PKGS = . ./internal/jobfail ./internal/pool ./internal/core ./internal/chaos ./par ./server ./cilk ./gomp ./komp ./tbbsched ./quark ./internal/figs ./internal/blas ./cmd/xkserve
 .PHONY: race
 race:
 	$(GO) test -race -short $(RACE_PKGS)
@@ -26,18 +27,23 @@ race:
 # race-stress is the race tier's un-shortened runs. The deque tier runs the
 # Chase–Lev torture tests (owner/thief interleavings, pop against steal on
 # the last task, steal against grow, many thieves) at full size, which
-# -short trims. The context-propagation stress drives the one shared failure machine from every direction at once
-# (sibling panics, deadlines, external Cancels, healthy jobs). The fleet
-# tier races router placement, cross-shard stealing under imbalance and
-# behind a frozen shard, and the fleet-wide drain/submit-storm critical
-# section. The chaos tier replays seeded fault injection: the paradigm
-# sweep over a chaotic pool and panic retries; its seeds are fixed, so a
-# failure replays deterministically.
+# -short trims. The fleet tier races router placement, cross-shard stealing
+# under imbalance and behind a frozen shard, and the fleet-wide
+# drain/submit-storm critical section. Both run once at each of
+# GOMAXPROCS 1, 2 and 4 (-cpu), whatever the box's count: a non-atomic
+# claim in the deque escapes every run at 1 and is caught at 2. The
+# comparators that share internal/pool's parker and backoff with the core
+# (cilk, tbbsched, gomp) run at the same three counts, trimmed by -short.
+# The context-propagation stress drives the one shared failure machine from
+# every direction at once (sibling panics, deadlines, external Cancels,
+# healthy jobs). The chaos tier replays seeded fault injection: the
+# paradigm sweep over a chaotic pool and panic retries; its seeds are
+# fixed, so a failure replays deterministically.
 .PHONY: race-stress
 race-stress:
-	$(GO) test -race -run 'TestDeque' -count=2 ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestDeque|TestFleet' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -short ./cilk ./tbbsched ./gomp
 	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
-	$(GO) test -race -run 'TestFleet' -count=2 ./internal/core
 	$(GO) test -race -count=1 ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestChaos|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
 

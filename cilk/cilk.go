@@ -14,7 +14,11 @@
 //
 // Like the X-Kaapi runtime in this module, the pool accepts concurrent root
 // submissions: Pool.Submit injects independent computations from any
-// goroutine and Pool.Run is Submit plus Job.Wait.
+// goroutine and Pool.Run is Submit plus Job.Wait. The root inbox, the job
+// admission around Close, the park/wake protocol and the miss backoff are
+// not this package's: they come from internal/pool, which also holds their
+// correctness argument, and are shared with the X-Kaapi runtime and
+// tbbsched.
 package cilk
 
 import (
@@ -22,9 +26,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xkaapi/internal/jobfail"
+	"xkaapi/internal/pool"
 )
 
 // ErrClosed is the error of a job rejected because the pool was already
@@ -92,23 +96,10 @@ func (j *Job) fail(err error) { j.st.Fail(err) }
 type Pool struct {
 	workers []*Worker
 
-	inboxMu   sync.Mutex
-	inboxQ    []*task
-	inboxHead int
-	inboxN    atomic.Int64
-
-	jobsMu   sync.Mutex
-	jobsCond *sync.Cond
-	jobsLive int
-	closing  bool // guarded by jobsMu
-
-	idle        atomic.Int32
-	parkMu      sync.Mutex
-	parkCond    *sync.Cond
-	wakePending int
-
-	stop atomic.Bool
-	wg   sync.WaitGroup
+	inbox pool.Inbox[task]
+	jobs  pool.Registry
+	park  pool.Parker
+	wg    sync.WaitGroup
 }
 
 // Worker is the execution context passed to task bodies.
@@ -133,8 +124,6 @@ func NewPool(n int) *Pool {
 		n = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{}
-	p.parkCond = sync.NewCond(&p.parkMu)
-	p.jobsCond = sync.NewCond(&p.jobsMu)
 	p.workers = make([]*Worker, n)
 	for i := range p.workers {
 		w := &Worker{id: i, pool: p, rng: uint64(i)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B}
@@ -142,32 +131,25 @@ func NewPool(n int) *Pool {
 		w.buf.Store(&buf)
 		p.workers[i] = w
 	}
-	for i := 0; i < n; i++ {
+	for _, w := range p.workers {
 		p.wg.Add(1)
-		go p.workers[i].loop()
+		go func() {
+			defer p.wg.Done()
+			p.park.Run(w.schedOnce, p.anyWork)
+		}()
 	}
 	return p
 }
 
-// Close drains in-flight jobs, then stops and joins the workers. The
-// closing flag flips under jobsMu so a racing Submit either registers
-// before the drain or panics — it can never strand a job in a dead pool.
+// Close drains in-flight jobs, then stops and joins the workers. A racing
+// Submit either registers before the drain or is rejected with ErrClosed:
+// it can never strand a job in a dead pool.
 func (p *Pool) Close() {
-	p.jobsMu.Lock()
-	if p.closing {
-		p.jobsMu.Unlock()
+	if !p.jobs.Close() {
 		return
 	}
-	p.closing = true
-	for p.jobsLive > 0 {
-		p.jobsCond.Wait()
-	}
-	p.jobsMu.Unlock()
-	p.stop.Store(true)
-	p.parkMu.Lock()
-	p.wakePending += len(p.workers)
-	p.parkCond.Broadcast()
-	p.parkMu.Unlock()
+	p.jobs.Drain()
+	p.park.Stop()
 	p.wg.Wait()
 }
 
@@ -202,47 +184,14 @@ func (p *Pool) Submit(root func(*Worker)) *Job {
 // the job context every task body sees through Worker.Context.
 func (p *Pool) SubmitCtx(ctx context.Context, root func(*Worker)) *Job {
 	j := &Job{}
-	p.jobsMu.Lock()
-	if p.closing {
-		p.jobsMu.Unlock()
-		// Init without the parent: rejection reports ErrClosed even when
-		// ctx is already cancelled (first error wins).
-		j.st.Init(nil)
-		j.st.Fail(ErrClosed)
-		j.st.Finish()
+	if !p.jobs.Admit() {
+		j.st.Reject()
 		return j
 	}
-	p.jobsLive++
-	p.jobsMu.Unlock()
 	j.st.Init(ctx)
-	p.inboxMu.Lock()
-	p.inboxQ = append(p.inboxQ, &task{fn: root, job: j, root: true})
-	p.inboxN.Add(1)
-	p.inboxMu.Unlock()
-	p.maybeWake()
+	p.inbox.Put(&task{fn: root, job: j, root: true})
+	p.park.Wake()
 	return j
-}
-
-// takeSubmitted claims the oldest submitted root, or returns nil. The
-// head index makes each take O(1); the buffer resets when it drains.
-func (p *Pool) takeSubmitted() *task {
-	if p.inboxN.Load() == 0 {
-		return nil
-	}
-	p.inboxMu.Lock()
-	var t *task
-	if p.inboxHead < len(p.inboxQ) {
-		t = p.inboxQ[p.inboxHead]
-		p.inboxQ[p.inboxHead] = nil
-		p.inboxHead++
-		if p.inboxHead == len(p.inboxQ) {
-			p.inboxQ = p.inboxQ[:0]
-			p.inboxHead = 0
-		}
-		p.inboxN.Add(-1)
-	}
-	p.inboxMu.Unlock()
-	return t
 }
 
 // ID returns the worker index.
@@ -269,7 +218,7 @@ func (w *Worker) Spawn(fn func(*Worker)) {
 		t.job = t.parent.job
 	}
 	w.push(t)
-	w.pool.maybeWake()
+	w.pool.park.Wake()
 }
 
 // Sync waits for all children spawned so far by the current task, scheduling
@@ -298,13 +247,7 @@ func (w *Worker) execute(t *task) {
 	}
 	if t.root {
 		t.job.st.Finish()
-		p := w.pool
-		p.jobsMu.Lock()
-		p.jobsLive--
-		if p.jobsLive == 0 {
-			p.jobsCond.Broadcast()
-		}
-		p.jobsMu.Unlock()
+		w.pool.jobs.Finish()
 	}
 }
 
@@ -329,12 +272,7 @@ func (w *Worker) waitChildren(t *task) {
 			idle = 0
 			continue
 		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+		idle = pool.Backoff(idle)
 	}
 }
 
@@ -347,7 +285,7 @@ func (w *Worker) schedOnce() bool {
 		w.execute(t)
 		return true
 	}
-	if t := w.pool.takeSubmitted(); t != nil {
+	if t := w.pool.inbox.Take(); t != nil {
 		w.execute(t)
 		return true
 	}
@@ -378,60 +316,10 @@ func (w *Worker) steal() *task {
 	return nil
 }
 
-func (w *Worker) loop() {
-	p := w.pool
-	defer p.wg.Done()
-	fails := 0
-	for {
-		if p.stop.Load() {
-			return
-		}
-		if w.schedOnce() {
-			fails = 0
-			continue
-		}
-		fails++
-		if fails < 4 {
-			runtime.Gosched()
-			continue
-		}
-		w.park()
-		fails = 0
-	}
-}
-
-func (w *Worker) park() {
-	p := w.pool
-	p.idle.Add(1)
-	if p.anyWork() || p.stop.Load() {
-		p.idle.Add(-1)
-		return
-	}
-	p.parkMu.Lock()
-	for p.wakePending == 0 && !p.stop.Load() {
-		p.parkCond.Wait()
-	}
-	if p.wakePending > 0 {
-		p.wakePending--
-	}
-	p.parkMu.Unlock()
-	p.idle.Add(-1)
-}
-
-func (p *Pool) maybeWake() {
-	if p.idle.Load() == 0 {
-		return
-	}
-	p.parkMu.Lock()
-	if p.wakePending < int(p.idle.Load()) {
-		p.wakePending++
-		p.parkCond.Signal()
-	}
-	p.parkMu.Unlock()
-}
-
+// anyWork is the final scan of a parking worker: a queued root or a
+// non-empty deque.
 func (p *Pool) anyWork() bool {
-	if p.inboxN.Load() > 0 {
+	if p.inbox.Size() > 0 {
 		return true
 	}
 	for _, v := range p.workers {

@@ -13,6 +13,11 @@
 //   - the libGOMP 4.6 throttle: when more than 64 tasks per thread are
 //     queued, new tasks execute inline (§V of the paper notes this heuristic
 //     "can limit the parallelism of the application").
+//
+// A team thread never parks between regions' tasks: every wait — the
+// region barrier, taskwait, a task waiting for its children — runs queued
+// tasks and otherwise takes the miss backoff of internal/pool, the one the
+// X-Kaapi runtime, cilk and tbbsched use in their wait loops.
 package gomp
 
 import (
@@ -20,9 +25,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xkaapi/internal/jobfail"
+	"xkaapi/internal/pool"
 )
 
 // PanicError is the error a parallel region fails with when code inside it
@@ -243,21 +248,8 @@ func (r *region) run(tid int) {
 	// Implicit barrier: drain tasks until none are queued or running and
 	// every thread reached the barrier.
 	idle := 0
-	for {
-		if t := r.pop(); t != nil {
-			tc.runQueued(t)
-			idle = 0
-			continue
-		}
-		if r.fnsLeft.Load() == 0 && r.pending.Load() == 0 {
-			break
-		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+	for r.fnsLeft.Load() != 0 || r.pending.Load() != 0 {
+		idle = tc.helpOnce(idle)
 	}
 	r.done.Done()
 }
@@ -288,38 +280,28 @@ func (tc *TC) Task(fn func(tc *TC)) {
 // as GCC does at task scheduling points — while it waits.
 func (tc *TC) Taskwait() {
 	cur := tc.cur
+	idle := 0
 	if cur == nil {
 		// Called from the implicit task of the region: wait for all tasks.
-		idle := 0
 		for tc.r.pending.Load() != 0 {
-			if t := tc.r.pop(); t != nil {
-				tc.runQueued(t)
-				idle = 0
-				continue
-			}
-			idle++
-			if idle < 128 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
+			idle = tc.helpOnce(idle)
 		}
 		return
 	}
-	idle := 0
 	for cur.children.Load() != 0 {
-		if t := tc.r.pop(); t != nil {
-			tc.runQueued(t)
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+		idle = tc.helpOnce(idle)
 	}
+}
+
+// helpOnce is one round of a wait loop: run a queued task, or take the
+// miss backoff. idle is the count of consecutive misses so far; helpOnce
+// returns the new count, 0 once a task ran.
+func (tc *TC) helpOnce(idle int) int {
+	if t := tc.r.pop(); t != nil {
+		tc.runQueued(t)
+		return 0
+	}
+	return pool.Backoff(idle)
 }
 
 func (r *region) pop() *gtask {
@@ -353,17 +335,7 @@ func (tc *TC) runTask(t *gtask) {
 	// only at taskwait/barrier. The region barrier keeps the count exact.
 	idle := 0
 	for t.children.Load() != 0 {
-		if u := tc.r.pop(); u != nil {
-			tc.runQueued(u)
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+		idle = tc.helpOnce(idle)
 	}
 	tc.cur = prev
 	if t.parent != nil {

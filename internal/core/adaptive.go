@@ -18,9 +18,11 @@ import (
 // combiner lock — which the paper notes "allows for simple and efficient
 // synchronization protocols".
 type Adaptive struct {
-	// Split returns at most n ready-to-run tasks representing work removed
-	// from the running task. It must tolerate the victim concurrently
-	// draining the work to zero and simply return fewer (or no) tasks.
+	// Split returns up to n ready-to-run tasks representing work removed
+	// from the running task, one per waiting thief. It must tolerate the
+	// victim concurrently draining the work to zero and simply return fewer
+	// (or no) tasks. Tasks beyond the n asked for are not dropped: the
+	// thief keeps them on its own deque, where any worker may take them.
 	Split func(thief *Worker, n int) []*Task
 
 	// job is the job of the task that installed the splitter, captured by
@@ -48,8 +50,13 @@ func (ad *Adaptive) splittable() bool {
 // splitter fails the installing task's job and yields no tasks instead of
 // unwinding (and killing) the thief. Callers must hold the victim's
 // combiner lock, as for Split itself. Tasks returned without a job inherit
-// the splitter's.
+// the splitter's. At most n tasks are returned: the extras of a splitter
+// that returned more go on w's own deque, for w or another thief to run, so
+// both steal protocols (combineServe, stealDirect) run every task made.
+// split counts the call in Stats.Splits and every task made, extras
+// included, in Stats.SplitTasks.
 func (ad *Adaptive) split(w *Worker, n int) (out []*Task) {
+	w.stats.splits.Add(1)
 	// Tasks a panicking splitter already built are unreachable (the panic
 	// discards its return value) and will never execute, so account them as
 	// cancelled to keep the quiescent Spawned == Executed + Cancelled
@@ -75,10 +82,18 @@ func (ad *Adaptive) split(w *Worker, n int) (out []*Task) {
 		}
 	}()
 	out = ad.Split(w, n)
+	w.stats.splitTasks.Add(int64(len(out)))
 	for _, t := range out {
 		if t.job == nil {
 			t.job = ad.job
 		}
+	}
+	if len(out) > n {
+		for _, t := range out[n:] {
+			w.deque.push(t)
+		}
+		w.rt.maybeWake()
+		out = out[:n]
 	}
 	return out
 }

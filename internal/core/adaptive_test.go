@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestIntervalResetRemaining(t *testing.T) {
@@ -147,5 +151,62 @@ func TestIntervalQuickPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitterExtrasRun: a user splitter that returns more tasks than the n
+// a thief asked for loses none of them. The thief keeps the extras on its
+// own deque, under both steal protocols, so every task runs, the pool
+// balances, Spawned == Executed + Cancelled, and SplitTasks counts every
+// task made. Both waits are bounded, so a dropped task fails the test
+// instead of hanging it.
+func TestSplitterExtrasRun(t *testing.T) {
+	for _, noAgg := range []bool{false, true} {
+		t.Run(fmt.Sprintf("NoAggregation=%v", noAgg), func(t *testing.T) {
+			withRuntime(t, Config{Workers: 2, NoAggregation: noAgg}, func(rt *Runtime) {
+				var once atomic.Bool
+				var made, ran atomic.Int64
+				err := rt.RunRoot(func(w *Worker) {
+					prev := w.SetAdaptive(&Adaptive{Split: func(thief *Worker, n int) []*Task {
+						if !once.CompareAndSwap(false, true) {
+							return nil
+						}
+						out := make([]*Task, n+1)
+						for i := range out {
+							out[i] = thief.NewAdaptiveTask(func(*Worker) { ran.Add(1) })
+						}
+						made.Store(int64(len(out)))
+						return out
+					}})
+					defer w.SetAdaptive(prev)
+					deadline := time.Now().Add(5 * time.Second)
+					for m := made.Load(); m == 0 || ran.Load() < m; m = made.Load() {
+						if time.Now().After(deadline) {
+							t.Errorf("%d of %d split tasks ran within 5s", ran.Load(), m)
+							return
+						}
+						runtime.Gosched()
+					}
+				})
+				if err != nil {
+					t.Fatalf("RunRoot: %v", err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					s := rt.Stats()
+					if s.Spawned == s.Executed+s.Cancelled {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("unbalanced after 5s: Spawned %d, Executed %d, Cancelled %d",
+							s.Spawned, s.Executed, s.Cancelled)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if got, want := rt.Stats().SplitTasks, made.Load(); got != want {
+					t.Errorf("SplitTasks = %d, want the %d tasks the splitter made", got, want)
+				}
+			})
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xkaapi/internal/xrand"
 )
@@ -17,7 +18,17 @@ type claimTracker struct {
 	index    map[*Task]int
 	claimed  []atomic.Int32
 	nClaimed atomic.Int64
+
+	// The owner's view of progress, for waiting: the claim count it last
+	// saw and when that count last moved.
+	lastN    int64
+	lastMove time.Time
 }
+
+// claimStall bounds how long the claim count may stand still while the
+// owner waits for the last claims. A lost task is never claimed, so an
+// unbounded wait would spin until the test binary's timeout.
+const claimStall = 5 * time.Second
 
 func newClaimTracker(t *testing.T, tasks []Task) *claimTracker {
 	ct := &claimTracker{
@@ -41,6 +52,28 @@ func (ct *claimTracker) claim(task *Task, who string) {
 		ct.t.Errorf("task %d claimed %d times (last by %s)", i, n, who)
 	}
 	ct.nClaimed.Add(1)
+}
+
+// waiting is the owner's bounded wait for the last claims: it reports
+// whether fewer than total tasks are claimed yet. Once the count has not
+// moved for claimStall, it fails the test with the claimed and expected
+// counts and reports false, so the caller stops its thieves and returns
+// instead of hanging. Owner goroutine only.
+func (ct *claimTracker) waiting(total int) bool {
+	n := ct.nClaimed.Load()
+	if n >= int64(total) {
+		return false
+	}
+	now := time.Now()
+	if n != ct.lastN || ct.lastMove.IsZero() {
+		ct.lastN, ct.lastMove = n, now
+		return true
+	}
+	if now.Sub(ct.lastMove) > claimStall {
+		ct.t.Errorf("claimed %d tasks, want %d: no claim for %v, a task is lost", n, total, claimStall)
+		return false
+	}
+	return true
 }
 
 func (ct *claimTracker) verify(total int) {
@@ -100,7 +133,7 @@ func TestDequeOwnerThiefInterleaving(t *testing.T) {
 			// and the buffer repeatedly empties and refills.
 			rng := xrand.New(0xDECAFBAD)
 			next := 0
-			for next < total || ct.nClaimed.Load() < int64(total) {
+			for next < total || ct.waiting(total) {
 				for burst := rng.Intn(4) + 1; burst > 0 && next < total; burst-- {
 					d.push(&tasks[next])
 					next++
@@ -174,7 +207,7 @@ func TestDequeOwnerPopVsStealLastTask(t *testing.T) {
 		}
 	}
 	// Wait until the thieves have banked every round they won.
-	for ct.nClaimed.Load() < int64(rounds) {
+	for ct.waiting(rounds) {
 		runtime.Gosched()
 	}
 	stop.Store(true)
@@ -231,7 +264,7 @@ func TestDequeStealVsGrow(t *testing.T) {
 			ct.claim(task, "owner")
 			continue
 		}
-		if ct.nClaimed.Load() >= int64(total) {
+		if !ct.waiting(total) {
 			break
 		}
 		runtime.Gosched()
@@ -291,7 +324,7 @@ func TestDequeMultiThiefStress(t *testing.T) {
 
 			rng := xrand.New(seed)
 			next := 0
-			for next < total || ct.nClaimed.Load() < int64(total) {
+			for next < total || ct.waiting(total) {
 				switch rng.Intn(4) {
 				case 0: // large burst: pressure the grow path
 					for burst := rng.Intn(200) + 1; burst > 0 && next < total; burst-- {

@@ -34,6 +34,14 @@
 //     call Runtime.Submit to inject an independent root job; the pool
 //     multiplexes all live jobs over the same workers. This extends the
 //     paper's single-parallel-region model to a shared service pool.
+//   - The idle path (internal/pool): the root inbox, the job admission
+//     around Close and the park/wake protocol are not defined here. They
+//     are internal/pool's, the one home of their correctness argument,
+//     shared with the cilk and tbbsched comparators so the Fig. 1 table
+//     compares deques and steal loops and nothing else. What stays here
+//     is this runtime's own: the work-epoch bump beside each wake, the
+//     counter flush and sibling-shard scan at park, the drain-error list,
+//     liveRoots and the chaos inbox delay.
 //   - Failure and cancellation (job.go + internal/jobfail): jobs are the
 //     failure domain — panics are captured per job, jobs can be cancelled,
 //     and the pool survives both. The state machine itself (first-error-
@@ -193,9 +201,9 @@
 // places new work elsewhere, while the siblings' stealRoot empties the
 // backlog it already holds (TestFleetFrozenShardStrandsNothing).
 //
-// Drain: Fleet.Close first flips every shard's closing flag — each under
-// the shard's own jobsMu, the exact critical section its Submit admission
-// checks — before any shard waits for its drain, so a submit racing the
+// Drain: Fleet.Close first flips every shard's closing flag — each in the
+// shard's own admission registry, the one its Submit checks — before any
+// shard waits for its drain, so a submit racing the
 // fleet-wide close is either drained (wherever it was routed) or rejected
 // with ErrClosed; no shard accepts work after a sibling started draining.
 //

@@ -15,8 +15,9 @@ package core
 // and the whole probe loop is skipped (counted in Stats.EpochSkips).
 //
 // The bump piggybacks on maybeWake/wakeAll and is gated the same way, on
-// idle.Load() != 0: while nobody is parked-or-parking the spawn fast path
-// pays nothing for the epoch, exactly as it pays nothing for the wake.
+// the parker's idle count (park.HasIdle): while nobody is parked-or-parking
+// the spawn fast path pays nothing for the epoch, exactly as it pays
+// nothing for the wake.
 // That gate is also why the scheme stays live without bumping on every
 // push:
 //

@@ -128,7 +128,7 @@ func (f *Fleet) route() *Runtime {
 // the backlog over without waiting for a sibling's next natural wake-up.
 func (f *Fleet) place(rt *Runtime, ctx context.Context, fn func(*Worker)) *Job {
 	j := rt.SubmitCtx(ctx, fn)
-	if !f.noSteal && rt.inbox.size() > 0 && rt.idle.Load() == 0 {
+	if !f.noSteal && rt.inbox.Size() > 0 && !rt.park.HasIdle() {
 		f.nudge(rt)
 	}
 	return j
@@ -137,7 +137,7 @@ func (f *Fleet) place(rt *Runtime, ctx context.Context, fn func(*Worker)) *Job {
 // nudge wakes one parked worker on the first idle sibling of hot.
 func (f *Fleet) nudge(hot *Runtime) {
 	for _, s := range f.shards {
-		if s != hot && s.idle.Load() > 0 {
+		if s != hot && s.park.HasIdle() {
 			s.maybeWake()
 			return
 		}
@@ -176,13 +176,13 @@ func (f *Fleet) Wait() error {
 }
 
 // Close drains every shard, then stops and joins all their workers. The
-// flip phase runs first: every shard's closing flag is raised — each under
-// the shard's own jobsMu, the exact critical section its Submit admission
-// checks — before any shard starts waiting for its drain. A Submit racing
-// Close therefore either registered before the fleet-wide flip (every shard
-// still drains it, wherever the router placed it) or is rejected with
-// ErrClosed on whichever shard it was routed to; there is no window where
-// an already-drained shard's sibling still accepts work. Cross-shard
+// flip phase runs first: every shard's closing flag is raised — in the
+// shard's own admission registry, the one its Submit checks — before any
+// shard starts waiting for its drain. A Submit racing Close therefore
+// either registered before the fleet-wide flip (every shard still drains
+// it, wherever the router placed it) or is rejected with ErrClosed on
+// whichever shard it was routed to; there is no window where an
+// already-drained shard's sibling still accepts work. Cross-shard
 // stealing stays live during the drain — a shard whose workers finished
 // early keeps pulling its siblings' queued roots — because a shard's
 // workers are only stopped after its own jobs drained.
@@ -196,7 +196,7 @@ func (f *Fleet) Close() {
 	}
 	f.closed = true
 	for _, s := range f.shards {
-		s.beginClose()
+		s.jobs.Close()
 	}
 	for _, s := range f.shards {
 		s.finishClose()
@@ -272,10 +272,10 @@ func (rt *Runtime) stealRoot() *Task {
 	start := int(f.rr.Add(1) % uint32(n))
 	for i := 0; i < n; i++ {
 		sib := f.shards[(start+i)%n]
-		if sib == rt || sib.inbox.size() == 0 {
+		if sib == rt || sib.inbox.Size() == 0 {
 			continue
 		}
-		if t := sib.inbox.take(); t != nil {
+		if t := sib.inbox.Take(); t != nil {
 			rt.stolenIn.Add(1)
 			sib.stolenOut.Add(1)
 			return t
@@ -293,7 +293,7 @@ func (rt *Runtime) siblingWork() bool {
 		return false
 	}
 	for _, s := range f.shards {
-		if s != rt && s.inbox.size() > 0 {
+		if s != rt && s.inbox.Size() > 0 {
 			return true
 		}
 	}

@@ -187,10 +187,7 @@ func TestFleetDrainRefusesEverywhere(t *testing.T) {
 	for {
 		all := true
 		for _, s := range f.shards {
-			s.jobsMu.Lock()
-			c := s.closing
-			s.jobsMu.Unlock()
-			if !c {
+			if !s.jobs.Closing() {
 				all = false
 			}
 		}
@@ -305,5 +302,31 @@ func TestFleetDefaults(t *testing.T) {
 	}
 	if !one.noSteal {
 		t.Fatal("1-shard fleet must disable cross-shard stealing")
+	}
+}
+
+// TestFleetWorkerStreams: every (shard, worker) pair of a fleet draws its
+// own victim-selection stream (worker j of shard i seeds by its global
+// index i·ShardSize + j), and shard 0 keeps the streams of a one-shard
+// pool. The shards are built but not started, so no worker draws.
+func TestFleetWorkerStreams(t *testing.T) {
+	bare := newRuntime(Config{Workers: 3}, nil, 0)
+	for _, shape := range []struct{ shards, size int }{{2, 3}, {4, 1}} {
+		seen := make(map[uint64]string)
+		for i := 0; i < shape.shards; i++ {
+			rt := newRuntime(Config{Workers: shape.size}, nil, i)
+			for j, w := range rt.workers {
+				r := w.rng
+				first := r.Next()
+				who := fmt.Sprintf("%dx%d shard %d worker %d", shape.shards, shape.size, i, j)
+				if prev, dup := seen[first]; dup {
+					t.Errorf("%s draws the stream of %s", who, prev)
+				}
+				seen[first] = who
+				if i == 0 && w.rng != bare.workers[j].rng {
+					t.Errorf("%s: stream differs from a one-shard pool's worker %d", who, j)
+				}
+			}
+		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xkaapi/internal/jobfail"
@@ -116,64 +114,8 @@ func (j *Job) finish() {
 		rt.noteFailed(err)
 	}
 	rt.liveRoots.Add(-1)
-	rt.jobsMu.Lock()
-	rt.jobsLive--
-	if rt.jobsLive == 0 {
-		rt.jobsCond.Broadcast()
-	}
-	rt.jobsMu.Unlock()
+	rt.jobs.Finish()
 }
-
-// inbox is the MPSC queue through which goroutines outside the pool inject
-// root tasks. External submitters must not touch the owner end of any
-// worker deque (push/pop are owner-only under the Chase–Lev protocol), so
-// new roots land here and are claimed by whichever worker runs out of local
-// and stolen work first.
-//
-// The count n is a sequentially consistent atomic and is updated before the
-// submitter reads Runtime.idle (in maybeWake), mirroring the deque-bottom /
-// idle-counter protocol: either the submitter observes a parked worker and
-// wakes it, or the parker's final anyWork scan observes n > 0 and aborts
-// the park.
-type inbox struct {
-	mu   sync.Mutex
-	q    []*Task
-	head int
-	n    atomic.Int64
-}
-
-// put appends t. Any goroutine may call it.
-func (ib *inbox) put(t *Task) {
-	ib.mu.Lock()
-	ib.q = append(ib.q, t)
-	ib.n.Add(1)
-	ib.mu.Unlock()
-}
-
-// take removes the oldest submitted task, or returns nil. Any worker may
-// call it; the atomic count makes the empty probe lock-free.
-func (ib *inbox) take() *Task {
-	if ib.n.Load() == 0 {
-		return nil
-	}
-	ib.mu.Lock()
-	var t *Task
-	if ib.head < len(ib.q) {
-		t = ib.q[ib.head]
-		ib.q[ib.head] = nil
-		ib.head++
-		if ib.head == len(ib.q) {
-			ib.q = ib.q[:0]
-			ib.head = 0
-		}
-		ib.n.Add(-1)
-	}
-	ib.mu.Unlock()
-	return t
-}
-
-// size is the current number of queued roots (racy, for probes and stats).
-func (ib *inbox) size() int64 { return ib.n.Load() }
 
 // Submit enqueues fn as an independent root job on the pool and returns
 // immediately with its handle. Any goroutine may call Submit, concurrently
@@ -205,24 +147,14 @@ func (rt *Runtime) newRoot(parent context.Context, fn func(*Worker)) (j *Job, t 
 		panic("core: Submit with nil function")
 	}
 	j = &Job{rt: rt}
-	// The closing check and the live-job registration are one critical
-	// section: a Submit racing Close either registers before the drain
-	// (Close then waits for this job too) or observes closing and is
-	// rejected with ErrClosed; it can never slip a job past the drain into
-	// a dead pool. The failure state initializes after the check — and for
-	// a rejected job without the parent — so rejection always reports
-	// ErrClosed, even when the submission context is already cancelled
-	// (first error wins, and rejection must be the first).
-	rt.jobsMu.Lock()
-	if rt.closing {
-		rt.jobsMu.Unlock()
-		j.st.Init(nil)
-		j.st.Fail(ErrClosed)
-		j.st.Finish()
+	// Admission either registers the job before the drain (Close then
+	// waits for it too) or refuses it; see internal/pool. The failure state
+	// initializes after admission, so a refused job reports ErrClosed even
+	// when the submission context is already cancelled.
+	if !rt.jobs.Admit() {
+		j.st.Reject()
 		return j, nil, false
 	}
-	rt.jobsLive++
-	rt.jobsMu.Unlock()
 	rt.liveRoots.Add(1)
 	j.st.Init(parent)
 	t = newRootTask() // external path: worker free lists are owner-only, roots recycle via rootPool
@@ -234,21 +166,21 @@ func (rt *Runtime) newRoot(parent context.Context, fn func(*Worker)) (j *Job, t 
 
 // enqueueRoot injects a registered root task through the inbox and wakes a
 // worker for it. The chaos inbox-delay site may defer the delivery: the job
-// is already registered (jobsLive counts it, so a concurrent Close waits for
-// it), only its appearance in the inbox is late — modelling a slow
-// submission path without touching the admission bookkeeping.
+// is already registered (admitted, so a concurrent Close waits for it),
+// only its appearance in the inbox is late — modelling a slow submission
+// path without touching the admission bookkeeping.
 func (rt *Runtime) enqueueRoot(t *Task) {
 	rt.extSpawned.Add(1)
 	if cz := rt.chaos; cz != nil {
 		if d := cz.InboxDelay(); d > 0 {
 			time.AfterFunc(d, func() {
-				rt.inbox.put(t)
+				rt.inbox.Put(t)
 				rt.maybeWake()
 			})
 			return
 		}
 	}
-	rt.inbox.put(t)
+	rt.inbox.Put(t)
 	rt.maybeWake()
 }
 
@@ -285,11 +217,7 @@ func (rt *Runtime) SubmitCtx(ctx context.Context, fn func(*Worker)) *Job {
 // reported by exactly one Wait drain; individual Job handles and CloseErr
 // observe failures independently of Wait.
 func (rt *Runtime) Wait() error {
-	rt.jobsMu.Lock()
-	for rt.jobsLive > 0 {
-		rt.jobsCond.Wait()
-	}
-	rt.jobsMu.Unlock()
+	rt.jobs.Drain()
 	rt.failMu.Lock()
 	errs := rt.drainErrs
 	dropped := rt.drainDropped

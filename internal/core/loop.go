@@ -5,12 +5,7 @@ import (
 	"sync/atomic"
 
 	"xkaapi/internal/jobfail"
-	"xkaapi/internal/xrand"
 )
-
-func xrandSeed(base uint64, i int) xrand.Rand {
-	return xrand.New(base + uint64(i)*seedStep + 1)
-}
 
 // loopCtx is the shared state of one ForEach invocation.
 type loopCtx struct {

@@ -110,9 +110,7 @@ func (w *Worker) combineServe(v *Worker) {
 	// the k remaining requests (one part stays with the victim, §II-E).
 	if rest := ids[served:]; len(rest) > 0 {
 		if ad := v.adaptive.Load(); ad != nil && ad.splittable() {
-			w.stats.splits.Add(1)
 			tasks := ad.split(w, len(rest))
-			w.stats.splitTasks.Add(int64(len(tasks)))
 			for _, t := range tasks {
 				if served >= len(ids) {
 					break
@@ -145,10 +143,8 @@ func (w *Worker) stealDirect(v *Worker) *Task {
 	if t == nil {
 		if ad := v.adaptive.Load(); ad != nil && ad.splittable() {
 			v.comb.Lock() // still required: one splitter at a time
-			w.stats.splits.Add(1)
 			tasks := ad.split(w, 1)
 			v.comb.Unlock()
-			w.stats.splitTasks.Add(int64(len(tasks)))
 			if len(tasks) > 0 {
 				t = tasks[0]
 			}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"xkaapi/internal/chaos"
+	"xkaapi/internal/pool"
+	"xkaapi/internal/xrand"
 )
 
 // Config parameterizes a Runtime. The zero value gives the paper's defaults
@@ -41,7 +43,11 @@ type Runtime struct {
 	workers []*Worker
 	chaos   *chaos.Injector // cfg.Chaos, denormalized for the per-site nil checks
 
-	inbox      inbox
+	// inbox, jobs and park are the idle path this runtime shares with
+	// cilk and tbbsched (internal/pool): the root inbox, job admission,
+	// and the parker (idle count, wakes, the stop release).
+	inbox pool.Inbox[Task]
+
 	extSpawned atomic.Int64 // roots injected by Submit (external spawn count)
 	liveRoots  atomic.Int64 // accepted roots not yet finished (router load input)
 	stolenIn   atomic.Int64 // roots pulled from sibling shards' inboxes (fleet.go)
@@ -52,10 +58,7 @@ type Runtime struct {
 	fleet      *Fleet
 	shardIndex int
 
-	jobsMu   sync.Mutex
-	jobsCond *sync.Cond
-	jobsLive int  // submitted jobs whose task trees have not drained
-	closing  bool // Close entered: reject new submissions (guarded by jobsMu)
+	jobs pool.Registry
 
 	failMu       sync.Mutex
 	failedJobs   int     // jobs that finished with a non-nil error
@@ -63,29 +66,35 @@ type Runtime struct {
 	drainErrs    []error // failures not yet reported by a Wait drain (capped)
 	drainDropped int     // failures elided once drainErrs hit maxDrainErrs
 
-	idle atomic.Int32
+	// park sits away from inbox and jobs, which every submission writes:
+	// every spawn reads its idle count.
+	park pool.Parker
 	// workEpoch is the shard's work-presence epoch (epoch.go): bumped —
 	// only while idle > 0, so the busy-pool spawn path never pays it —
 	// whenever work is published (deque push, inbox enqueue, adaptive
 	// install), compared by idle-adjacent workers against the epoch of
 	// their last empty steal sweep to skip provably futile probe loops.
-	workEpoch   atomic.Uint64
-	parkMu      sync.Mutex
-	parkCond    *sync.Cond
-	wakePending int
+	workEpoch atomic.Uint64
 
-	stop atomic.Bool // drain finished: workers may exit
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // defaultSeed is the base of the per-worker victim-selection RNG streams.
-// Shard i of a fleet starts its streams at defaultSeed + i·seedStep, and
-// worker j's stream is that base + j·seedStep (xrandSeed); a bare
-// NewRuntime is shard 0. seedStep is the 64-bit golden-ratio constant.
+// Worker j of fleet shard i has the global index g = i·ShardSize + j and
+// seeds its stream with defaultSeed + g·seedStep + 1 (workerRand), so every
+// (shard, worker) pair of a fleet draws its own stream; a bare NewRuntime
+// is shard 0, whose streams are those of a one-shard pool. seedStep is the
+// 64-bit golden-ratio constant.
 const (
 	defaultSeed = 0x853C49E6748FEA9B
 	seedStep    = 0x9E3779B97F4A7C15
 )
+
+// workerRand is the victim-selection stream of the worker with global
+// index g.
+func workerRand(g int) xrand.Rand {
+	return xrand.New(defaultSeed + uint64(g)*seedStep + 1)
+}
 
 // NewRuntime creates the worker pool: cfg.Workers goroutines are started
 // (and park when idle); work reaches them through Submit or RunRoot.
@@ -107,15 +116,12 @@ func newRuntime(cfg Config, fleet *Fleet, shard int) *Runtime {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	rt := &Runtime{cfg: cfg, chaos: cfg.Chaos, fleet: fleet, shardIndex: shard}
-	rt.parkCond = sync.NewCond(&rt.parkMu)
-	rt.jobsCond = sync.NewCond(&rt.jobsMu)
 	rt.workers = make([]*Worker, cfg.Workers)
-	seed := defaultSeed + uint64(shard)*seedStep
 	for i := range rt.workers {
 		w := &Worker{
 			id:         i,
 			rt:         rt,
-			rng:        xrandSeed(seed, i),
+			rng:        workerRand(shard*cfg.Workers + i),
 			reqScratch: make([]int, 0, cfg.Workers),
 			reqs:       make([]request, cfg.Workers),
 		}
@@ -146,45 +152,26 @@ func (rt *Runtime) RunRoot(fn func(*Worker)) error {
 
 // Close drains every in-flight job, then stops and joins all workers. It is
 // safe to call more than once; work submitted after Close is rejected with
-// a pre-failed Job (Err == ErrClosed). The closing flag flips under jobsMu
-// — the same lock Submit registers under — so a Submit either lands before
-// the drain (and is executed) or observes closing and is rejected; it can
-// never slip a job past the drain into a dead pool.
+// a pre-failed Job (Err == ErrClosed). Admission and the closing flip are
+// one pool.Registry (internal/pool has the argument), so a Submit either
+// lands before the drain (and is executed) or is rejected; it can never
+// slip a job past the drain into a dead pool.
+//
+// The refusal half is rt.jobs.Close, which reports whether this call did
+// the flip; Fleet.Close calls it on every shard before any shard starts
+// draining.
 func (rt *Runtime) Close() {
-	if rt.beginClose() {
+	if rt.jobs.Close() {
 		rt.finishClose()
 	}
 }
 
-// beginClose flips the runtime into closing mode under jobsMu and reports
-// whether this call did the flip (false: another Close got there first).
-// It is the refusal half of Close, split out so Fleet.Close can refuse
-// submissions on every shard before any shard starts draining.
-func (rt *Runtime) beginClose() bool {
-	rt.jobsMu.Lock()
-	defer rt.jobsMu.Unlock()
-	if rt.closing {
-		return false
-	}
-	rt.closing = true
-	return true
-}
-
 // finishClose is the drain half of Close: wait for the registered jobs to
 // complete, then stop and join the workers. Safe to call concurrently or
-// repeatedly once closing is set (stop and the broadcast are idempotent,
-// wg.Wait just waits).
+// repeatedly once closing is set (Stop is idempotent, wg.Wait just waits).
 func (rt *Runtime) finishClose() {
-	rt.jobsMu.Lock()
-	for rt.jobsLive > 0 { // drain jobs submitted before the flip
-		rt.jobsCond.Wait()
-	}
-	rt.jobsMu.Unlock()
-	rt.stop.Store(true)
-	rt.parkMu.Lock()
-	rt.wakePending += len(rt.workers)
-	rt.parkCond.Broadcast()
-	rt.parkMu.Unlock()
+	rt.jobs.Drain()
+	rt.park.Stop()
 	rt.wg.Wait()
 }
 
@@ -239,7 +226,7 @@ func (rt *Runtime) shardStats() ShardStats {
 	return ShardStats{
 		Shard:     rt.shardIndex,
 		Workers:   len(rt.workers),
-		InboxLen:  rt.inbox.size(),
+		InboxLen:  rt.inbox.Size(),
 		LiveRoots: rt.liveRoots.Load(),
 		StolenIn:  rt.stolenIn.Load(),
 		StolenOut: rt.stolenOut.Load(),
@@ -253,7 +240,7 @@ func (rt *Runtime) shardStats() ShardStats {
 // roots is worse off than one merely running them, so backlog weighs
 // double in the least-loaded scan.
 func (rt *Runtime) load() int64 {
-	return rt.liveRoots.Load() + rt.inbox.size()
+	return rt.liveRoots.Load() + rt.inbox.Size()
 }
 
 // Stats sums the per-worker counters plus the externally submitted root
@@ -273,40 +260,31 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// maybeWake signals one parked worker if any worker is idle. The push it
-// follows is already visible: both the deque bottom and idle counter are
-// sequentially consistent atomics, so either the waker sees idle > 0 or the
-// parker's final anyWork scan sees the pushed task.
+// maybeWake signals one parked worker if any worker is idle, after a push
+// the caller already made visible (internal/pool has the park/wake
+// argument). The idle test is the whole cost on a busy pool.
 func (rt *Runtime) maybeWake() {
-	if rt.idle.Load() == 0 {
+	if !rt.park.HasIdle() {
 		return
 	}
 	rt.bumpWorkEpoch()
-	rt.parkMu.Lock()
-	if rt.wakePending < int(rt.idle.Load()) {
-		rt.wakePending++
-		rt.parkCond.Signal()
-	}
-	rt.parkMu.Unlock()
+	rt.park.Wake()
 }
 
 // wakeAll releases every parked worker, used when an adaptive section opens
 // and work can be created on demand for any number of thieves.
 func (rt *Runtime) wakeAll() {
-	if rt.idle.Load() == 0 {
+	if !rt.park.HasIdle() {
 		return
 	}
 	rt.bumpWorkEpoch()
-	rt.parkMu.Lock()
-	rt.wakePending = len(rt.workers)
-	rt.parkCond.Broadcast()
-	rt.parkMu.Unlock()
+	rt.park.WakeAll(len(rt.workers))
 }
 
 // anyWork reports whether any worker has queued tasks or an adaptive
 // section a thief could split, or a submitted root is waiting in the inbox.
 func (rt *Runtime) anyWork() bool {
-	if rt.inbox.size() > 0 {
+	if rt.inbox.Size() > 0 {
 		return true
 	}
 	for _, v := range rt.workers {

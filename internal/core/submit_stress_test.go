@@ -243,12 +243,13 @@ func TestParkWakeExternalSubmit(t *testing.T) {
 		withRuntime(t, Config{Workers: workers}, func(rt *Runtime) {
 			for i := 0; i < rounds; i++ {
 				// Wait for the whole pool to park: every worker sits in
-				// parkCond.Wait and only an explicit wake-up can move one.
+				// the parker's condition variable and only an explicit
+				// wake-up can move one.
 				deadline := time.Now().Add(5 * time.Second)
-				for rt.idle.Load() != int32(workers) {
+				for rt.park.Idle() != workers {
 					if time.Now().After(deadline) {
 						t.Fatalf("round %d: workers never parked (idle=%d/%d)",
-							i, rt.idle.Load(), workers)
+							i, rt.park.Idle(), workers)
 					}
 					time.Sleep(50 * time.Microsecond)
 				}

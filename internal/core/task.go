@@ -47,9 +47,16 @@ type Access struct {
 	Mode   Mode
 }
 
+// flagLoop marks a task with no parent frame whose body accounts for its
+// own work: a loop slice (newLoopTask) or a task from NewAdaptiveTask. It
+// is not a diagnostic. execute runs such a body even when the job has
+// failed, because the body must settle its share (loopRun credits its
+// iterations back to the loop's pending count), and the chaos task-panic
+// site skips it, because a panic before loopRun would strand that count
+// (runChunk has its own site).
 const (
 	flagHasAccess uint8 = 1 << iota // task registered dataflow accesses
-	flagLoop                        // task is a loop-slice task (diagnostics)
+	flagLoop                        // loop-slice or adaptive task: see above
 	flagRoot                        // task is a job root: completion finishes the job
 )
 

@@ -1,7 +1,7 @@
 //xk:hotpath — the worker's spawn/pop/execute loop is the per-task fast
 // path; xkvet rejects blocking or allocating constructs in this file.
-// The deliberate slow paths (park, the idle backoff) are marked
-// //xk:coldpath / //xk:allow(hotpath) below.
+// The deliberate slow paths are marked //xk:coldpath below; the lock and
+// sleep of parking and of the miss backoff live in internal/pool.
 
 package core
 
@@ -14,6 +14,7 @@ import (
 
 	"xkaapi/internal/chaos"
 	"xkaapi/internal/jobfail"
+	"xkaapi/internal/pool"
 	"xkaapi/internal/xrand"
 )
 
@@ -410,31 +411,19 @@ func (w *Worker) waitFrame(c *atomic.Int32) {
 }
 
 // helpOnce is one round of a wait loop (waitFrame, ForEach's wait for
-// stolen iterations): execute one ready task, or back off after a miss —
-// publish the cached counters on the first, yield on the next ones, and
-// sleep idleSleep per round from idleSpinBeforeSleep misses on. idle is
-// the count of consecutive misses so far; helpOnce returns the new count,
-// 0 once a task ran.
+// stolen iterations): execute one ready task, or, after a miss, publish the
+// cached counters (on the first) and take the shared miss backoff
+// (pool.Backoff). idle is the count of consecutive misses so far; helpOnce
+// returns the new count, 0 once a task ran.
 func (w *Worker) helpOnce(idle int) int {
 	if w.schedOnce() {
 		return 0
 	}
-	idle++
-	if idle == 1 {
+	if idle == 0 {
 		w.flushStats() // out of work: publish cached counters
 	}
-	if idle < idleSpinBeforeSleep {
-		runtime.Gosched()
-	} else {
-		time.Sleep(idleSleep) //xk:allow(hotpath): idle backoff — out of work by definition
-	}
-	return idle
+	return pool.Backoff(idle)
 }
-
-const (
-	idleSpinBeforeSleep = 128
-	idleSleep           = 20 * time.Microsecond
-)
 
 // schedOnce executes at most one ready task, preferring local work (pop,
 // LIFO), then stealing (oldest task of a random victim), then a fresh root
@@ -451,7 +440,7 @@ func (w *Worker) schedOnce() bool {
 		w.execute(t)
 		return true
 	}
-	if t := w.rt.inbox.take(); t != nil {
+	if t := w.rt.inbox.Take(); t != nil {
 		w.execute(t)
 		return true
 	}
@@ -589,16 +578,6 @@ func (w *Worker) NewAdaptiveTask(fn func(*Worker)) *Task {
 	return t
 }
 
-// idleRoundsBeforePark is how many failed scheduling rounds a worker spins
-// through (with Gosched between them) before parking on the condvar. A
-// round whose steal sweep found every victim empty counts double — the
-// steal-probe backoff: on a mostly-idle pool there is no evidence any work
-// exists, so the worker stops paying 2N probes per round and goes to sleep
-// in half the rounds, while a pool with observed-but-contended work keeps
-// the full spin budget. park's final anyWork scan still closes the race
-// with work produced during the last sweep.
-const idleRoundsBeforePark = 4
-
 // run is the main loop of a pool worker. At top level (no frame open) a
 // fresh root from the inbox is preferred over stealing: a submitted job is
 // guaranteed work, while a steal attempt may fail, and draining roots early
@@ -609,7 +588,7 @@ func (w *Worker) run() {
 	defer w.flushStats() // publish cached counters before Close's wg.Wait returns
 	fails := 0
 	for {
-		if rt.stop.Load() {
+		if rt.park.Stopped() {
 			return
 		}
 		if cz := rt.chaos; cz != nil {
@@ -620,7 +599,7 @@ func (w *Worker) run() {
 			fails = 0
 			continue
 		}
-		if t := rt.inbox.take(); t != nil {
+		if t := rt.inbox.Take(); t != nil {
 			w.execute(t)
 			fails = 0
 			continue
@@ -660,11 +639,19 @@ func (w *Worker) run() {
 		if fails == 0 {
 			w.flushStats() // out of work: publish cached counters
 		}
+		// A worker spins pool.RoundsBeforePark failed rounds before it
+		// parks. A round whose steal sweep found every victim empty counts
+		// double — the steal-probe backoff: on a mostly-idle pool there is
+		// no evidence any work exists, so the worker stops paying 2N probes
+		// per round and sleeps in half the rounds, while a pool with
+		// observed-but-contended work keeps the full spin budget. park's
+		// final scan still closes the race with work produced during the
+		// last sweep.
 		fails++
 		if !sawWork {
-			fails++ // empty sweep: no evidence of work anywhere, park sooner
+			fails++
 		}
-		if fails < idleRoundsBeforePark {
+		if fails < pool.RoundsBeforePark {
 			runtime.Gosched()
 			continue
 		}
@@ -695,36 +682,27 @@ func (w *Worker) chaosPause(cz *chaos.Injector) {
 		return
 	}
 	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) && !w.rt.stop.Load() {
+	for time.Now().Before(deadline) && !w.rt.park.Stopped() {
 		time.Sleep(chaosSlice)
 	}
 }
 
-// park blocks the worker until new work may exist. A final scan of all
-// deques after advertising idleness closes the race with concurrent pushes.
-// The condvar handoff is the point of the function: parking is the
+// park blocks the worker until new work may exist (pool.Parker.Park). Its
+// final scan covers sibling shards too: cross-shard work published before
+// idle was advertised must not strand this worker asleep (the fleet
+// router's nudge only wakes workers it can see are idle). Parking is the
 // deliberate out-of-work slow path, hence the coldpath exemption.
 //
 //xk:coldpath
 func (w *Worker) park() {
 	w.flushStats() // a parked worker's counters are fully published
-	rt := w.rt
-	rt.idle.Add(1)
 	w.stats.parks.Add(1)
-	// The abort scan covers sibling shards too: cross-shard work published
-	// before idle was advertised must not strand this worker asleep (the
-	// fleet router's nudge only wakes workers it can see are idle).
-	if rt.anyWork() || rt.siblingWork() || rt.stop.Load() {
-		rt.idle.Add(-1)
-		return
-	}
-	rt.parkMu.Lock()
-	for rt.wakePending == 0 && !rt.stop.Load() {
-		rt.parkCond.Wait()
-	}
-	if rt.wakePending > 0 {
-		rt.wakePending--
-	}
-	rt.parkMu.Unlock()
-	rt.idle.Add(-1)
+	rt := w.rt
+	rt.park.Park(rt.parkScan)
+}
+
+// parkScan is park's final scan: work in this shard, or queued roots a
+// sibling shard would let this worker steal.
+func (rt *Runtime) parkScan() bool {
+	return rt.anyWork() || rt.siblingWork()
 }

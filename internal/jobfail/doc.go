@@ -29,10 +29,9 @@
 //     long kernels) unblocks immediately. Parent cancellation is watcher-
 //     free: Init arms a context.AfterFunc, Finish disarms it.
 //
-//   - Pre-failed jobs. A submission racing shutdown is not a panic: Init +
-//     Fail(ErrClosed) + Finish yields a handle whose Wait and Err report
-//     ErrClosed and whose context is already cancelled, so services have one
-//     code path.
+//   - Pre-failed jobs. A submission racing shutdown is not a panic:
+//     State.Reject yields a handle whose Wait and Err report ErrClosed and
+//     whose context is already cancelled, so services have one code path.
 //
 //   - Drain invariant. A failed job's remaining tasks are cancelled — their
 //     bodies are skipped while the completion bookkeeping still runs — and

@@ -134,6 +134,16 @@ func (s *State) Init(parent context.Context) {
 	}
 }
 
+// Reject readies the state as a pre-failed handle for a submission the
+// scheduler refused because it was closing: Init without a parent, Fail
+// with ErrClosed, Finish. Wait and Err report ErrClosed at once, and the
+// context is already cancelled.
+func (s *State) Reject() {
+	s.Init(nil)
+	s.Fail(ErrClosed)
+	s.Finish()
+}
+
 // Fail records err as the domain's failure if it is the first one and the
 // domain has not finished, and cancels the domain's context with err as its
 // cause. Later failures, nil errors and failures after Finish are ignored.

@@ -9,7 +9,11 @@
 // count is maintained with atomic reference counting, and deque operations
 // take the deque lock (TBB's early deques were lock-based). Those constants
 // are why the paper measures TBB at a ~26x slowdown on fine-grain Fibonacci
-// versus ~8x for X-Kaapi.
+// versus ~8x for X-Kaapi. What is not TBB's cost model is not this
+// package's code: the root inbox, the job admission around Close, the
+// park/wake protocol and the miss backoff come from internal/pool, which
+// also holds their correctness argument, and are shared with the X-Kaapi
+// runtime and cilk.
 package tbbsched
 
 import (
@@ -17,9 +21,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xkaapi/internal/jobfail"
+	"xkaapi/internal/pool"
 )
 
 // ErrClosed is the error of a job rejected because the scheduler was
@@ -98,23 +102,10 @@ func (j *Job) fail(err error) { j.st.Fail(err) }
 type Scheduler struct {
 	ctxs []*Context
 
-	inboxMu   sync.Mutex
-	inboxQ    []*node
-	inboxHead int
-	inboxN    atomic.Int64
-
-	jobsMu   sync.Mutex
-	jobsCond *sync.Cond
-	jobsLive int
-	closing  bool // guarded by jobsMu
-
-	idle        atomic.Int32
-	parkMu      sync.Mutex
-	parkCond    *sync.Cond
-	wakePending int
-
-	stop atomic.Bool
-	wg   sync.WaitGroup
+	inbox pool.Inbox[node]
+	jobs  pool.Registry
+	park  pool.Parker
+	wg    sync.WaitGroup
 }
 
 // Context is a worker; task bodies receive the context they run on.
@@ -135,38 +126,29 @@ func NewScheduler(n int) *Scheduler {
 		n = runtime.GOMAXPROCS(0)
 	}
 	s := &Scheduler{}
-	s.parkCond = sync.NewCond(&s.parkMu)
-	s.jobsCond = sync.NewCond(&s.jobsMu)
 	s.ctxs = make([]*Context, n)
 	for i := range s.ctxs {
 		s.ctxs[i] = &Context{id: i, sched: s, rng: uint64(i)*0x9E3779B97F4A7C15 + 1}
 	}
-	for i := 0; i < n; i++ {
+	for _, c := range s.ctxs {
 		s.wg.Add(1)
-		go s.ctxs[i].loop()
+		go func() {
+			defer s.wg.Done()
+			s.park.Run(c.schedOnce, s.anyWork)
+		}()
 	}
 	return s
 }
 
-// Close drains in-flight jobs, then stops and joins the workers. The
-// closing flag flips under jobsMu so a racing Submit either registers
-// before the drain or panics — it can never strand a job in a dead pool.
+// Close drains in-flight jobs, then stops and joins the workers. A racing
+// Submit either registers before the drain or is rejected with ErrClosed:
+// it can never strand a job in a dead pool.
 func (s *Scheduler) Close() {
-	s.jobsMu.Lock()
-	if s.closing {
-		s.jobsMu.Unlock()
+	if !s.jobs.Close() {
 		return
 	}
-	s.closing = true
-	for s.jobsLive > 0 {
-		s.jobsCond.Wait()
-	}
-	s.jobsMu.Unlock()
-	s.stop.Store(true)
-	s.parkMu.Lock()
-	s.wakePending += len(s.ctxs)
-	s.parkCond.Broadcast()
-	s.parkMu.Unlock()
+	s.jobs.Drain()
+	s.park.Stop()
 	s.wg.Wait()
 }
 
@@ -200,47 +182,14 @@ func (s *Scheduler) Submit(t Task) *Job {
 // context every task body sees through Context.Ctx.
 func (s *Scheduler) SubmitCtx(ctx context.Context, t Task) *Job {
 	j := &Job{}
-	s.jobsMu.Lock()
-	if s.closing {
-		s.jobsMu.Unlock()
-		// Init without the parent: rejection reports ErrClosed even when
-		// ctx is already cancelled (first error wins).
-		j.st.Init(nil)
-		j.st.Fail(ErrClosed)
-		j.st.Finish()
+	if !s.jobs.Admit() {
+		j.st.Reject()
 		return j
 	}
-	s.jobsLive++
-	s.jobsMu.Unlock()
 	j.st.Init(ctx)
-	s.inboxMu.Lock()
-	s.inboxQ = append(s.inboxQ, &node{t: t, job: j, root: true})
-	s.inboxN.Add(1)
-	s.inboxMu.Unlock()
-	s.maybeWake()
+	s.inbox.Put(&node{t: t, job: j, root: true})
+	s.park.Wake()
 	return j
-}
-
-// takeSubmitted claims the oldest submitted root, or returns nil. The
-// head index makes each take O(1); the buffer resets when it drains.
-func (s *Scheduler) takeSubmitted() *node {
-	if s.inboxN.Load() == 0 {
-		return nil
-	}
-	s.inboxMu.Lock()
-	var n *node
-	if s.inboxHead < len(s.inboxQ) {
-		n = s.inboxQ[s.inboxHead]
-		s.inboxQ[s.inboxHead] = nil
-		s.inboxHead++
-		if s.inboxHead == len(s.inboxQ) {
-			s.inboxQ = s.inboxQ[:0]
-			s.inboxHead = 0
-		}
-		s.inboxN.Add(-1)
-	}
-	s.inboxMu.Unlock()
-	return n
 }
 
 // ID returns the worker index.
@@ -268,7 +217,7 @@ func (c *Context) Spawn(t Task) {
 	c.mu.Lock()
 	c.queue = append(c.queue, n)
 	c.mu.Unlock()
-	c.sched.maybeWake()
+	c.sched.park.Wake()
 }
 
 // Wait blocks until all children spawned so far by the current task have
@@ -277,18 +226,18 @@ func (c *Context) Wait() {
 	if c.cur == nil {
 		return
 	}
+	c.waitRefs(c.cur)
+}
+
+// waitRefs executes other tasks until n has no pending children.
+func (c *Context) waitRefs(n *node) {
 	idle := 0
-	for c.cur.refs.Load() != 0 {
+	for n.refs.Load() != 0 {
 		if c.schedOnce() {
 			idle = 0
 			continue
 		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+		idle = pool.Backoff(idle)
 	}
 }
 
@@ -301,18 +250,8 @@ func (c *Context) execute(n *node) {
 		c.runBody(n)
 	}
 	// Implicit wait_for_all: a task is not complete until its subtree is.
-	idle := 0
-	for n.refs.Load() != 0 {
-		if c.schedOnce() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+	if n.refs.Load() != 0 {
+		c.waitRefs(n)
 	}
 	c.cur = prev
 	if n.parent != nil {
@@ -320,13 +259,7 @@ func (c *Context) execute(n *node) {
 	}
 	if n.root {
 		n.job.st.Finish()
-		s := c.sched
-		s.jobsMu.Lock()
-		s.jobsLive--
-		if s.jobsLive == 0 {
-			s.jobsCond.Broadcast()
-		}
-		s.jobsMu.Unlock()
+		c.sched.jobs.Finish()
 	}
 }
 
@@ -387,67 +320,17 @@ func (c *Context) schedOnce() bool {
 			return true
 		}
 	}
-	if n := s.takeSubmitted(); n != nil {
+	if n := s.inbox.Take(); n != nil {
 		c.execute(n)
 		return true
 	}
 	return false
 }
 
-func (c *Context) loop() {
-	s := c.sched
-	defer s.wg.Done()
-	fails := 0
-	for {
-		if s.stop.Load() {
-			return
-		}
-		if c.schedOnce() {
-			fails = 0
-			continue
-		}
-		fails++
-		if fails < 4 {
-			runtime.Gosched()
-			continue
-		}
-		c.park()
-		fails = 0
-	}
-}
-
-func (c *Context) park() {
-	s := c.sched
-	s.idle.Add(1)
-	if s.anyWork() || s.stop.Load() {
-		s.idle.Add(-1)
-		return
-	}
-	s.parkMu.Lock()
-	for s.wakePending == 0 && !s.stop.Load() {
-		s.parkCond.Wait()
-	}
-	if s.wakePending > 0 {
-		s.wakePending--
-	}
-	s.parkMu.Unlock()
-	s.idle.Add(-1)
-}
-
-func (s *Scheduler) maybeWake() {
-	if s.idle.Load() == 0 {
-		return
-	}
-	s.parkMu.Lock()
-	if s.wakePending < int(s.idle.Load()) {
-		s.wakePending++
-		s.parkCond.Signal()
-	}
-	s.parkMu.Unlock()
-}
-
+// anyWork is the final scan of a parking worker: a queued root or a
+// non-empty deque.
 func (s *Scheduler) anyWork() bool {
-	if s.inboxN.Load() > 0 {
+	if s.inbox.Size() > 0 {
 		return true
 	}
 	for _, v := range s.ctxs {
