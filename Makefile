@@ -37,15 +37,16 @@ race:
 # The context-propagation stress drives the one shared failure machine from
 # every direction at once (sibling panics, deadlines, external Cancels,
 # healthy jobs). The chaos tier replays seeded fault injection: the
-# paradigm sweep over a chaotic pool and panic retries; its seeds are
-# fixed, so a failure replays deterministically.
+# paradigm sweep over a chaotic pool and panic retries, at GOMAXPROCS 1, 2
+# and 4 like the deque and fleet tiers; its seeds are fixed, so a failure
+# replays deterministically at the count it failed at.
 .PHONY: race-stress
 race-stress:
 	$(GO) test -race -cpu 1,2,4 -run 'TestDeque|TestFleet' ./internal/core
 	$(GO) test -race -cpu 1,2,4 -short ./cilk ./tbbsched ./gomp
 	$(GO) test -race -run 'TestContextPropagationStress' -count=2 ./internal/core
-	$(GO) test -race -count=1 ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestChaos|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/chaos
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestChaos|TestPanicRetries|TestRetryAfter' . ./internal/core ./server
 
 .PHONY: vet
 vet:
@@ -54,10 +55,10 @@ vet:
 # cross vets the module for arm64. On amd64 the blas 8×4 micro-kernel is
 # FMA assembly (internal/blas/kernel_amd64.s) chosen at init over the
 # portable Go kernel, which amd64 compiles too and runs on CPUs without
-# FMA, and an 8×8 AVX-512 panel kernel joins it where the CPU has
-# AVX-512; only a non-amd64 build compiles kernel_generic.go (the kern
-# every other GOARCH runs, and useAVX512 = false, so no panel path) and
-# kernel_generic_test.go. vet type-checks them (and every test) without a
+# FMA, and an 8×16 AVX-512 panel block, under all four tile kernels,
+# joins it where the CPU has AVX-512; only a non-amd64 build compiles
+# kernel_generic.go (the kern every other GOARCH runs, and useAVX512 =
+# false, so no panel path) and kernel_generic_test.go. vet type-checks them (and every test) without a
 # cross toolchain or a network.
 .PHONY: cross
 cross:

@@ -7,8 +7,8 @@
 # verify (build + full test suite), the race tiers (`race` over the
 # concurrency-critical packages, `race-stress` for the un-shortened deque
 # torture tests and fleet tests at GOMAXPROCS 1, 2 and 4, the comparators at
-# the same counts, and the stress and seeded chaos runs), the gating
-# benchmark allocation budgets (bench_gates.json),
+# the same counts, the stress run, and the seeded chaos runs at the same
+# three counts), the gating benchmark allocation budgets (bench_gates.json),
 # and the benchmark module's own vet + tests. The HTTP server needs no tier
 # of its own: tier-1 runs cmd/xkserve's process tests. What this script adds
 # is output capture for the workflow and a non-gating benchmark tier that

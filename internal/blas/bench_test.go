@@ -69,8 +69,7 @@ func BenchmarkSyrkLN(b *testing.B) {
 	reportGFlops(b, n*(n+1)*n)
 }
 
-func BenchmarkTrsmRLTN(b *testing.B) {
-	const n = 128
+func benchTrsm(b *testing.B, n int) {
 	rng := xrand.New(4)
 	l := randSPD(&rng, n, n)
 	if err := PotrfLower(n, l, n); err != nil {
@@ -88,8 +87,7 @@ func BenchmarkTrsmRLTN(b *testing.B) {
 	reportGFlops(b, n*n*n)
 }
 
-func BenchmarkPotrfLower(b *testing.B) {
-	const n = 128
+func benchPotrf(b *testing.B, n int) {
 	rng := xrand.New(5)
 	src := randSPD(&rng, n, n)
 	work := make([]float64, len(src))
@@ -101,4 +99,49 @@ func BenchmarkPotrfLower(b *testing.B) {
 		}
 	}
 	reportGFlops(b, n*n*n/3)
+}
+
+// BenchmarkTrsmRLTN and BenchmarkPotrfLower are at the paper's tile size
+// 128; their Small twins at 32 and 64, the tile sizes of the server's
+// /cholesky requests.
+func BenchmarkTrsmRLTN(b *testing.B)   { benchTrsm(b, 128) }
+func BenchmarkPotrfLower(b *testing.B) { benchPotrf(b, 128) }
+
+func BenchmarkTrsmRLTNSmall(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchTrsm(b, n) })
+	}
+}
+
+func BenchmarkPotrfLowerSmall(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchPotrf(b, n) })
+	}
+}
+
+// BenchmarkKernPanel runs the panel path's block alone, one 8×16 block of
+// C against a packed panel, on operands that stay in cache: the block's
+// own rate at each depth, the ceiling of every kernel built on it. On a
+// CPU without the panel kernel it runs the four kern blocks that cover
+// the same 8×16 of C, so the gate sees the benchmark everywhere.
+func BenchmarkKernPanel(b *testing.B) {
+	for _, k := range []int{32, 64, 128, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := xrand.New(uint64(k))
+			a, bb, c := randMat(&rng, mr*k), randMat(&rng, panelN*k), randMat(&rng, mr*panelN)
+			var p panel
+			packPanel(k, bb, k, &p)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if useAVX512 {
+					kernPanel(k, a, k, p[:], c, panelN, false)
+					continue
+				}
+				for j := 0; j < panelN; j += nr {
+					kern(k, a, k, bb[j*k:], k, c[j:], panelN)
+				}
+			}
+			reportGFlops(b, 2*mr*panelN*k)
+		})
+	}
 }

@@ -169,9 +169,10 @@ func kernFused(k int, a []float64, lda int, b []float64, ldb int, c []float64, l
 
 // kern must equal its oracle bit for bit, C's padding included, for every
 // k up to panelK and with special operands: on an amd64 CPU with FMA the
-// fused chain kernFused, elsewhere kernGo. Where useAVX512 is set the 8×8
-// panel block, kernPanel over a panel packPanel packed, must equal
-// kernFused on each of its two 8×4 halves the same way. The one exception
+// fused chain kernFused, elsewhere kernGo. Where useAVX512 is set the 8×16
+// panel block, kernPanel over a panel packPanel packed, must equal the
+// fused chain on each element the same way, subtracted from C or, in its
+// store mode, stored as it is. The one exception
 // is the NaN payload: any NaN equals any NaN. An invalid operation (0×Inf,
 // Inf−Inf) makes the default NaN, and where it meets math.NaN(), x86 keeps
 // the first operand's payload; Go leaves the operand order of a commutative
@@ -215,14 +216,24 @@ func TestKernBitwise(t *testing.T) {
 			if !useAVX512 {
 				continue
 			}
+			// Every third k in the store mode TrsmRLTN's solve takes.
+			store := k%3 == 0
 			ldc = panelN + int(rng.Next()%4)
 			b, c = fill(panelN, k, ldb), fill(mr, panelN, ldc)
 			want = slices.Clone(c)
-			var p [panelK * panelN]float64
+			var p panel
 			packPanel(k, b, ldb, &p)
-			kernPanel(k, a, lda, &p, c, ldc)
-			kernFused(k, a, lda, b, ldb, want, ldc)
-			kernFused(k, a, lda, b[nr*ldb:], ldb, want[nr:], ldc)
+			kernPanel(k, a, lda, p[:], c, ldc, store)
+			for i := range mr {
+				for j := range panelN {
+					s := fusedDot(a[i*lda:i*lda+k], b[j*ldb:j*ldb+k])
+					if store {
+						want[i*ldc+j] = s
+					} else {
+						want[i*ldc+j] -= s
+					}
+				}
+			}
 			same(c, want, "panel", k, special)
 		}
 	}
@@ -238,9 +249,9 @@ func TestKernBitwise(t *testing.T) {
 func TestShortOperandPanics(t *testing.T) {
 	const k, n = 5, 20
 	rng := xrand.New(23)
-	l := randMat(&rng, 64)
-	for i := 0; i < 8; i++ {
-		l[i*8+i] = 2
+	l := randMat(&rng, 256) // 8×8 at ld 8, and 16×16 at ld 16
+	for i := 0; i < 16; i++ {
+		l[i*8+i], l[i*16+i] = 2, 2
 	}
 	cases := []struct {
 		name  string
@@ -273,6 +284,23 @@ func TestShortOperandPanics(t *testing.T) {
 		{"trsm: B one short", randMat(&rng, 63), func(b []float64) {
 			TrsmRLTN(8, 8, l, 8, b, 8)
 		}, "[63] with length 63", "TrsmRLTN"},
+		// Shapes the panel path takes where the CPU has AVX-512: 8×16
+		// panels for gemm and syrk, a 32-row solve, an 80-row factor.
+		{"gemm n=16: B one short", randMat(&rng, 128), func(c []float64) {
+			GemmNT(8, 16, k, randMat(&rng, 8*k), k, randMat(&rng, 16*k-1), k, c, 16)
+		}, "[79] with length 79", "GemmNT"},
+		{"gemm n=16: C one short", randMat(&rng, 127), func(c []float64) {
+			GemmNT(8, 16, k, randMat(&rng, 8*k), k, randMat(&rng, 16*k), k, c, 16)
+		}, "[127] with length 127", "GemmNT"},
+		{"syrk n=16: C one short", randMat(&rng, 255), func(c []float64) {
+			SyrkLN(16, k, randMat(&rng, 16*k), k, c, 16)
+		}, "[255] with length 255", "SyrkLN"},
+		{"trsm m=32 n=16: B one short", randMat(&rng, 511), func(b []float64) {
+			TrsmRLTN(32, 16, l, 16, b, 16)
+		}, "[511] with length 511", "TrsmRLTN"},
+		{"potrf n=80: A one short", randSPD(&rng, 80, 80)[:80*80-1], func(a []float64) {
+			PotrfLower(80, a, 80)
+		}, "[6399] with length 6399", "PotrfLower"},
 		{"potrf: A one short", randSPD(&rng, n, n)[: n*n-1 : n*n-1], func(a []float64) {
 			PotrfLower(n, a, n)
 		}, "[399] with length 399", "PotrfLower"},

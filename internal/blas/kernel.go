@@ -5,13 +5,16 @@ package blas
 
 // The micro-kernel's block of C: mr rows of A against nr rows of B. The
 // panel path's block is mr rows of A against panelN rows of B, packed for
-// k up to panelK.
+// k up to panelK into a panel.
 const (
 	mr     = 8
 	nr     = 4
-	panelN = 8
+	panelN = 16
 	panelK = 256
 )
+
+// panel is the panel path's buffer, 32 KB: k rows of panelN.
+type panel [panelK * panelN]float64
 
 // kernGo is the micro-kernel all four level-3 kernels are built on, in
 // portable Go:
@@ -30,8 +33,9 @@ const (
 // bits are that fused chain's, not kernGo's. Each loaded element of A
 // feeds nr products there and each of B mr, so a multiply-add costs 0.375
 // loads where a row-by-row dot product pays 2. Where the CPU has AVX-512
-// too, GemmNT and SyrkLN run most of C through kernPanel instead, an 8×8
-// block over packed B with the same fused bits, and kern takes the rest.
+// too, the level-3 kernels run most of their flops through kernPanel
+// instead, an 8×16 block over packed B with the same fused bits, and kern
+// takes the rest.
 //
 // Every row of the block is sliced before the first element is read, so a
 // short operand panics before C is read or written.
@@ -78,17 +82,21 @@ func kern2x4(a0, a1, b0, b1, b2, b3, c0, c1 []float64) {
 
 // packPanel copies B's first panelN rows, k elements each, into p as k
 // rows of panelN: p[t*panelN+j] = B[j][t], the panel kernPanel reads. It
-// writes each row of p whole, from the eight rows of B sliced up front, so
-// a short B panics before p is written. k must be at most panelK.
-func packPanel(k int, b []float64, ldb int, p *[panelK * panelN]float64) {
-	b0, b1, b2, b3 := b[:k], b[ldb:ldb+k], b[2*ldb:2*ldb+k], b[3*ldb:3*ldb+k]
-	b4, b5, b6, b7 := b[4*ldb:4*ldb+k], b[5*ldb:5*ldb+k], b[6*ldb:6*ldb+k], b[7*ldb:7*ldb+k]
-	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
-	b4, b5, b6, b7 = b4[:len(b0)], b5[:len(b0)], b6[:len(b0)], b7[:len(b0)]
-	for t, x := range b0 {
-		q := (*[panelN]float64)(p[t*panelN:])
-		q[0], q[1], q[2], q[3] = x, b1[t], b2[t], b3[t]
-		q[4], q[5], q[6], q[7] = b4[t], b5[t], b6[t], b7[t]
+// goes eight rows of B at a time, sliced up front, and writes each half
+// row of p whole, so a short B panics before p is written past the
+// previous eight rows. k must be at most panelK.
+func packPanel(k int, b []float64, ldb int, p *panel) {
+	for j := 0; j < panelN; j += 8 {
+		r := b[j*ldb:]
+		b0, b1, b2, b3 := r[:k], r[ldb:ldb+k], r[2*ldb:2*ldb+k], r[3*ldb:3*ldb+k]
+		b4, b5, b6, b7 := r[4*ldb:4*ldb+k], r[5*ldb:5*ldb+k], r[6*ldb:6*ldb+k], r[7*ldb:7*ldb+k]
+		b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+		b4, b5, b6, b7 = b4[:len(b0)], b5[:len(b0)], b6[:len(b0)], b7[:len(b0)]
+		for t, x := range b0 {
+			q := (*[8]float64)(p[t*panelN+j:])
+			q[0], q[1], q[2], q[3] = x, b1[t], b2[t], b3[t]
+			q[4], q[5], q[6], q[7] = b4[t], b5[t], b6[t], b7[t]
+		}
 	}
 }
 

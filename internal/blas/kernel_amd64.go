@@ -3,10 +3,10 @@
 
 package blas
 
-// useFMA selects kernFMA over kernGo, and useAVX512 has GemmNT and SyrkLN
-// run their 8-column panels through kernPanel. Both are decided once, when
-// the package is initialised, from what the CPU and the OS report; the
-// second implies the first.
+// useFMA selects kernFMA over kernGo, and useAVX512 has GemmNT, SyrkLN,
+// TrsmRLTN and PotrfLower run their 16-column panels through kernPanel.
+// Both are decided once, when the package is initialised, from what the
+// CPU and the OS report; the second implies the first.
 var useFMA, useAVX512 = cpuSupport()
 
 // kern is the micro-kernel, C[0:mr, 0:nr] -= A[0:mr, 0:k] · B[0:nr, 0:k]ᵀ
@@ -17,8 +17,9 @@ var useFMA, useAVX512 = cpuSupport()
 // process, so every caller gets identical bits for identical inputs. It
 // first takes every row slice of the block that kernGo takes, so an
 // operand too short for the block panics with kernGo's index error before
-// any element is read or written. Where useAVX512 is set, GemmNT and
-// SyrkLN give kern only what their panel path leaves (see kernPanel).
+// any element is read or written. Where useAVX512 is set, the four
+// level-3 kernels give kern only what their panel path leaves (see
+// kernPanel).
 func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if !useFMA {
 		kernGo(k, a, lda, b, ldb, c, ldc)
@@ -36,38 +37,39 @@ func kern(k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc in
 	}
 }
 
-// kernPanel is the 8×8 block of GemmNT's and SyrkLN's panel path,
+// kernPanel is the block of the panel path,
 //
-//	C[0:mr, 0:panelN] -= A[0:mr, 0:k] · B[0:panelN, 0:k]ᵀ
+//	C[0:mr, 0:panelN] -= A[0:mr, 0:k] · P[0:k, 0:panelN]
 //
-// with B packed by packPanel into p, so B's eight rows are p's k-major
-// columns. Each element is the fused chain kernFMA takes, s = math.FMA(a,
-// b, s) from +0 in k order, subtracted from C once, so a panel's bits are
-// those of the two 8×4 blocks kern would give. It first takes every row
-// slice of A and C that two kern calls would, and p's first k rows, so a
-// short operand panics with a Go index error before any element is read
-// or written. k must be positive.
-func kernPanel(k int, a []float64, lda int, p *[panelK * panelN]float64, c []float64, ldc int) {
-	_, _, _, _ = a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
-	_, _, _, _ = a[4*lda:4*lda+k], a[5*lda:5*lda+k], a[6*lda:6*lda+k], a[7*lda:7*lda+k]
-	_, _, _, _ = c[:panelN], c[ldc:ldc+panelN], c[2*ldc:2*ldc+panelN], c[3*ldc:3*ldc+panelN]
-	_, _, _, _ = c[4*ldc:4*ldc+panelN], c[5*ldc:5*ldc+panelN], c[6*ldc:6*ldc+panelN], c[7*ldc:7*ldc+panelN]
-	_ = p[:k*panelN]
-	kernAVX512(k, &a[0], lda, &p[0], &c[0], ldc)
+// or, with store set, C[0:mr, 0:panelN] = A[0:mr, 0:k] · P[0:k, 0:panelN],
+// where P is k rows of panelN held in p (p[t*panelN+j]): B's panelN rows
+// transposed by packPanel, for GemmNT and SyrkLN, or the transposed
+// inverse of a diagonal block, for TrsmRLTN. Each element is the fused
+// chain kernFMA takes, s = math.FMA(a, p, s) from +0 in k order,
+// subtracted from C once or stored as it is, so a GemmNT or SyrkLN block
+// has the bits of the four 8×4 blocks kern would give. C may alias A, as
+// in TrsmRLTN's solve: every element of A is read before C is written. It
+// first indexes the last element of A, P and C the block reads, so a short
+// operand panics with a Go index error before any element is read or
+// written. k must be positive.
+func kernPanel(k int, a []float64, lda int, p []float64, c []float64, ldc int, store bool) {
+	_, _, _ = a[(mr-1)*lda+k-1], p[k*panelN-1], c[(mr-1)*ldc+panelN-1]
+	kernAVX512(k, &a[0], lda, &p[0], &c[0], ldc, store)
 }
 
-// kernAVX512 is kernPanel on eight-lane registers. Sum register i holds
-// row i of the block; per k-step one load of the panel's 8-wide row t is
-// fused, times each of A's eight elements broadcast from memory, into the
-// eight sums, so eight independent chains hide the FMA latency and no
-// shuffle is needed. The C block is prefetched before the k loop and read
-// after it. a points at the block's first element of A, whose rows are lda
-// elements apart, p at the packed panel and c at the block's first element
-// of C, whose rows are ldc apart; k must be positive and every row in
-// range, which kernPanel has checked.
+// kernAVX512 is kernPanel on eight-lane registers. Sum registers 2i and
+// 2i+1 hold row i of the block, columns 0–7 and 8–15; per k-step two loads
+// of the panel's 16-wide row t are fused, times each of A's eight elements
+// broadcast once, into the sixteen sums, so sixteen independent chains
+// hide the FMA latency, each loaded element of A feeds two products and
+// no shuffle is needed. The C block is prefetched before the k loop and
+// read after it. a points at the block's first element of A, whose rows
+// are lda elements apart, p at the panel and c at the block's first
+// element of C, whose rows are ldc apart; k must be positive and every
+// row in range, which kernPanel has checked.
 //
 //go:noescape
-func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int)
+func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int, store bool)
 
 // kernFMA is the micro-kernel on four-lane FMA registers. Lane j of sum
 // register i is sij: ai[t] broadcast times (b0[t], b1[t], b2[t], b3[t])

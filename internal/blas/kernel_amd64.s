@@ -119,45 +119,77 @@ update:
 	VZEROUPPER
 	RET
 
-// func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int)
+// func kernAVX512(k int, a *float64, lda int, p *float64, c *float64, ldc int, store bool)
 //
-// Sums: Zi = (si0, …, si7) for A row i, i = 0…7. Each k-step loads one
-// 8-wide row of the packed panel and fuses it, times each of A's eight
-// elements broadcast from memory, into the eight sums with one rounding;
-// the main loop does t…t+3 per trip, the tail the k%4 last t one at a time.
+// Sums: Z(2i) = (si0, …, si7) and Z(2i+1) = (si8, …, si15) for A row i,
+// i = 0…7. Each k-step loads the packed panel's 16-wide row t into Z16
+// and Z17, broadcasts each of A's eight elements once into Z18 and fuses
+// it, times the two halves, into its row's two sums with one rounding
+// each; the main loop does t…t+3 per trip, the tail the k%4 last t one at
+// a time.
 //
-// Registers: SI points at A row 0 and DI at row 4, R8 at the panel's row t;
-// all three advance with t. BX is lda and R12 3·lda in bytes, so A's rows
-// are SI, SI+BX, SI+2·BX, SI+R12 and the same from DI. AX is k, DX the
-// trips left. Z8…Z11 hold panel rows.
+// Registers: SI points at A row 0 and DI at row 4, R8 at the panel's row
+// t; all three advance with t. BX is lda and R12 3·lda in bytes, so A's
+// rows are SI, SI+BX, SI+2·BX, SI+R12 and the same from DI. AX is k, DX
+// the trips left.
 //
-// The eight rows of the C block are prefetched before the k loop: they are
-// read only after it, and in a tile task they often come from past L2, so
-// a load issued then would stall the update; R9…R11 address them.
+// The rows of the C block are prefetched before the k loop: they are read
+// only after it, and in a tile task they often come from past L2, so a
+// load issued then would stall the update; R9…R11 address them. With
+// store set, the sums are written to C as they are and C is not read.
 
-// PSTEP fuses the panel row at byte offset poff from R8 (loaded into z)
-// times A's eight elements at byte offset off from the row pointers into
-// the eight sums.
-#define PSTEP(off, poff, z) \
-	VMOVUPD          poff(R8), z;          \
-	VFMADD231PD.BCST off(SI), z, Z0;       \
-	VFMADD231PD.BCST off(SI)(BX*1), z, Z1; \
-	VFMADD231PD.BCST off(SI)(BX*2), z, Z2; \
-	VFMADD231PD.BCST off(SI)(R12*1), z, Z3; \
-	VFMADD231PD.BCST off(DI), z, Z4;       \
-	VFMADD231PD.BCST off(DI)(BX*1), z, Z5; \
-	VFMADD231PD.BCST off(DI)(BX*2), z, Z6; \
-	VFMADD231PD.BCST off(DI)(R12*1), z, Z7
+// PROW fuses A's element at addr, broadcast, times the panel row in Z16
+// and Z17 into the sums lo and hi.
+#define PROW(addr, lo, hi) \
+	VBROADCASTSD addr, Z18;    \
+	VFMADD231PD  Z18, Z16, lo; \
+	VFMADD231PD  Z18, Z17, hi
 
-// PUPDATE subtracts sum from the 8-wide C row at SI and moves SI to the
-// next row.
-#define PUPDATE(sum) \
-	VMOVUPD (SI), Z8;    \
-	VSUBPD  sum, Z8, Z8; \
-	VMOVUPD Z8, (SI);    \
+// PSTEP loads the panel row at byte offsets poff0 and poff1 from R8 and
+// fuses it times A's eight elements at byte offset off from the row
+// pointers into the sixteen sums.
+#define PSTEP(off, poff0, poff1) \
+	VMOVUPD poff0(R8), Z16;        \
+	VMOVUPD poff1(R8), Z17;        \
+	PROW(off(SI), Z0, Z1);         \
+	PROW(off(SI)(BX*1), Z2, Z3);   \
+	PROW(off(SI)(BX*2), Z4, Z5);   \
+	PROW(off(SI)(R12*1), Z6, Z7);  \
+	PROW(off(DI), Z8, Z9);         \
+	PROW(off(DI)(BX*1), Z10, Z11); \
+	PROW(off(DI)(BX*2), Z12, Z13); \
+	PROW(off(DI)(R12*1), Z14, Z15)
+
+// PREFETCH4 prefetches the two cache lines of each of four C rows from R9
+// and moves R9 four rows on.
+#define PREFETCH4 \
+	PREFETCHT0 (R9);          \
+	PREFETCHT0 64(R9);        \
+	PREFETCHT0 (R9)(R10*1);   \
+	PREFETCHT0 64(R9)(R10*1); \
+	PREFETCHT0 (R9)(R10*2);   \
+	PREFETCHT0 64(R9)(R10*2); \
+	PREFETCHT0 (R9)(R11*1);   \
+	PREFETCHT0 64(R9)(R11*1); \
+	LEAQ       (R9)(R10*4), R9
+
+// PUPDATE subtracts the sums lo and hi from the 16-wide C row at SI and
+// moves SI to the next row; PSTORE writes them there instead.
+#define PUPDATE(lo, hi) \
+	VMOVUPD (SI), Z16;    \
+	VMOVUPD 64(SI), Z17;  \
+	VSUBPD  lo, Z16, Z16; \
+	VSUBPD  hi, Z17, Z17; \
+	VMOVUPD Z16, (SI);    \
+	VMOVUPD Z17, 64(SI);  \
 	ADDQ    DX, SI
 
-TEXT ·kernAVX512(SB), NOSPLIT, $0-48
+#define PSTORE(lo, hi) \
+	VMOVUPD lo, (SI);   \
+	VMOVUPD hi, 64(SI); \
+	ADDQ    DX, SI
+
+TEXT ·kernAVX512(SB), NOSPLIT, $0-49
 	MOVQ k+0(FP), AX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), BX
@@ -169,15 +201,8 @@ TEXT ·kernAVX512(SB), NOSPLIT, $0-48
 	MOVQ ldc+40(FP), R10
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R11
-	PREFETCHT0 (R9)
-	PREFETCHT0 (R9)(R10*1)
-	PREFETCHT0 (R9)(R10*2)
-	PREFETCHT0 (R9)(R11*1)
-	LEAQ (R9)(R10*4), R9
-	PREFETCHT0 (R9)
-	PREFETCHT0 (R9)(R10*1)
-	PREFETCHT0 (R9)(R10*2)
-	PREFETCHT0 (R9)(R11*1)
+	PREFETCH4
+	PREFETCH4
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -186,18 +211,26 @@ TEXT ·kernAVX512(SB), NOSPLIT, $0-48
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 	MOVQ AX, DX
 	SHRQ $2, DX
 	JZ   ptail
 
 pquads:
-	PSTEP(0, 0, Z8)
-	PSTEP(8, 64, Z9)
-	PSTEP(16, 128, Z10)
-	PSTEP(24, 192, Z11)
+	PSTEP(0, 0, 64)
+	PSTEP(8, 128, 192)
+	PSTEP(16, 256, 320)
+	PSTEP(24, 384, 448)
 	ADDQ $32, SI
 	ADDQ $32, DI
-	ADDQ $256, R8
+	ADDQ $512, R8
 	DECQ DX
 	JNZ  pquads
 
@@ -206,25 +239,40 @@ ptail:
 	JZ   pupdate
 
 psingle:
-	PSTEP(0, 0, Z8)
+	PSTEP(0, 0, 64)
 	ADDQ $8, SI
 	ADDQ $8, DI
-	ADDQ $64, R8
+	ADDQ $128, R8
 	DECQ AX
 	JNZ  psingle
 
 pupdate:
-	MOVQ c+32(FP), SI
-	MOVQ ldc+40(FP), DX
-	SHLQ $3, DX
-	PUPDATE(Z0)
-	PUPDATE(Z1)
-	PUPDATE(Z2)
-	PUPDATE(Z3)
-	PUPDATE(Z4)
-	PUPDATE(Z5)
-	PUPDATE(Z6)
-	PUPDATE(Z7)
+	MOVQ    c+32(FP), SI
+	MOVQ    ldc+40(FP), DX
+	SHLQ    $3, DX
+	MOVBLZX store+48(FP), AX
+	TESTQ   AX, AX
+	JNZ     pstore
+	PUPDATE(Z0, Z1)
+	PUPDATE(Z2, Z3)
+	PUPDATE(Z4, Z5)
+	PUPDATE(Z6, Z7)
+	PUPDATE(Z8, Z9)
+	PUPDATE(Z10, Z11)
+	PUPDATE(Z12, Z13)
+	PUPDATE(Z14, Z15)
+	VZEROUPPER
+	RET
+
+pstore:
+	PSTORE(Z0, Z1)
+	PSTORE(Z2, Z3)
+	PSTORE(Z4, Z5)
+	PSTORE(Z6, Z7)
+	PSTORE(Z8, Z9)
+	PSTORE(Z10, Z11)
+	PSTORE(Z12, Z13)
+	PSTORE(Z14, Z15)
 	VZEROUPPER
 	RET
 

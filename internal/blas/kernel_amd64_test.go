@@ -55,7 +55,8 @@ func TestAVX512Usable(t *testing.T) {
 // branches and the panel path's absence are reached only by setting them
 // here: the bitwise, block-order and panic checks hold under kernGo,
 // kernFMA and kernFMA with the AVX-512 panels, each against the oracle of
-// the kernels selected. The first two subtests are named avx=… after the
+// the kernels selected, and so do the trsm and potrf checks, whose code
+// differs between the panel path and the others. The first two subtests are named avx=… after the
 // assembly kernel kernFMA replaced: avx=false runs kernGo, avx=true
 // kernFMA alone; avx512=true adds the panel path.
 func TestKernBothSelections(t *testing.T) {
@@ -78,6 +79,10 @@ func TestKernBothSelections(t *testing.T) {
 			t.Run("bitwise", TestKernBitwise)
 			t.Run("blockorder", TestGemmNTBlockOrderBits)
 			t.Run("panics", TestShortOperandPanics)
+			t.Run("trsm", TestTrsmRLTNAgainstReference)
+			t.Run("potrf", TestPotrfLowerAgainstReference)
+			t.Run("rejects", TestPotrfLowerRejects)
+			t.Run("deterministic", TestKernelsDeterministic)
 		})
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"xkaapi/internal/xrand"
 )
 
-// Every size up to one past two micro-blocks, then sizes around the
-// multiples of 4 the tile and skyline block sizes are.
-var ragged = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33, 88, 127, 128}
+// Every size up to one past two micro-blocks, sizes around the multiples
+// of 4 the tile and skyline block sizes are, and the tile sizes callers
+// use: the server's 16–64, the paper's 128 and 224, and the panel path's
+// column boundaries (16, and 24 and 48, which leave 8 columns to kern).
+var ragged = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 31, 32, 33, 48, 64, 88, 127, 128, 224}
 
 // pad is what the leading dimensions exceed the live width by. It is odd so
 // that rows start at every alignment.
@@ -187,15 +189,18 @@ func TestKernelsDeterministic(t *testing.T) {
 // The micro-block's shape decides which elements of C the micro-kernel
 // computes, never how: each is +0 plus its k products in k order, then
 // subtracted from C once, every multiply fused with its add where kern is
-// kernFMA and rounded before it where kern is kernGo. So GemmNT, and SyrkLN
-// on the micro-blocks wholly below the diagonal, must give the bits of a
-// per-element loop whatever mr is. What the micro-blocks leave, GemmNT's
-// m%mr rows and n%nr columns, must give the bits of dot. The shapes are
+// kernFMA and rounded before it where kern is kernGo. So GemmNT, and
+// SyrkLN on every row of its full mr-row bands, diagonal blocks included,
+// must give the bits of a per-element loop whatever the blocks are. What
+// the blocks leave, GemmNT's m%mr rows and n%nr columns and SyrkLN's rows
+// past its last full band, must give the bits of dot. The shapes are
 // whole micro-blocks but for 12×24, which leaves four rows over, on the
-// boundary a 4-row block had not, and 14×10, which leaves rows and
-// columns. Where useAVX512 is set, n = 12 and 20 mix 8×8 panels with a
-// trailing 8×4 kern block, SyrkLN at n = 20 runs a panel below the
-// diagonal, and k = 256 and 257 sit either side of the panel path's
+// boundary a 4-row block had not, and 14×10 and 17×32, which leave rows
+// and columns. Where useAVX512 is set, n = 12 and 20 mix a 16-column panel
+// (or none) with trailing 8×4 kern blocks, n = 24, 40 and 56 leave an
+// 8-column remainder to kern after one to three panels, SyrkLN at n ≥ 16
+// runs its diagonal blocks through the panel block and the store into a
+// scratch block, and k = 256 and 257 sit either side of the panel path's
 // fallback to kern; each element's reference is the same fused chain.
 func TestGemmNTBlockOrderBits(t *testing.T) {
 	rng := xrand.New(19)
@@ -217,7 +222,7 @@ func TestGemmNTBlockOrderBits(t *testing.T) {
 		}
 	}
 	for _, s := range [][3]int{{8, 4, 1}, {8, 12, 37}, {16, 16, 128}, {32, 8, 203}, {12, 24, 67}, {14, 10, 33},
-		{16, 12, 45}, {24, 20, 256}, {16, 20, 257}} {
+		{16, 12, 45}, {24, 20, 256}, {16, 20, 257}, {8, 24, 19}, {24, 40, 128}, {40, 56, 64}, {17, 32, 31}} {
 		m, n, k := s[0], s[1], s[2]
 		a, lda := padded(&rng, m, k, math.NaN())
 		b, ldb := padded(&rng, n, k, math.NaN())
@@ -236,15 +241,21 @@ func TestGemmNTBlockOrderBits(t *testing.T) {
 			}
 		}
 
-		// SyrkLN on B: row i's micro-blocks wholly below the diagonal end
-		// at the first column of its mr-row band.
+		// SyrkLN on B: every element of a full mr-row band, up to and
+		// including the diagonal, is the per-element chain; the rows
+		// below the last full band are dot's.
 		c, ldc = padded(&rng, n, n, guard)
 		c0 = slices.Clone(c)
 		SyrkLN(n, k, b, ldb, c, ldc)
-		for i := 0; i < n-n%mr; i++ {
+		for i := 0; i < n; i++ {
 			bi := b[i*ldb : i*ldb+k]
-			for j := 0; j < i-i%mr; j++ {
-				same(c[i*ldc+j], c0[i*ldc+j]-perElement(bi, b[j*ldb:j*ldb+k]), "syrk", n, n, k, i, j)
+			for j := 0; j <= i; j++ {
+				bj := b[j*ldb : j*ldb+k]
+				want := c0[i*ldc+j] - dot(bi, bj)
+				if i < n-n%mr {
+					want = c0[i*ldc+j] - perElement(bi, bj)
+				}
+				same(c[i*ldc+j], want, "syrk", n, n, k, i, j)
 			}
 		}
 	}

@@ -19,15 +19,15 @@
 // differences are scheduling, exactly as in the paper: internal/blas has
 // one set of micro-kernels per machine — on an amd64 CPU with FMA an 8×4
 // assembly block with the bits of a fused per-element chain, joined where
-// the CPU has AVX-512 by an 8×8 block over packed B panels for gemm and
-// the below-diagonal part of syrk with the same bits; elsewhere the
-// portable Go kernel; chosen once at start-up from CPUID — and no way to
-// select another, so within one process every scheduler's factor is
-// bitwise the sequential one. What faster micro-kernels change is the
-// grain the schedulers are compared at: with the 8×8 AVX-512 panels a
-// 128×128 gemm runs at about 1.5 times the rate of the 8×4 FMA block alone
-// on operands from past L2, as a tile task meets them (1.75 times warm),
-// so a scheduler's per-task cost is that much more of the solve.
+// the CPU has AVX-512 by an 8×16 block over packed panels that gemm, syrk
+// (with the same bits), trsm and potrf run most of their flops on;
+// elsewhere the portable Go kernel; chosen once at start-up from CPUID —
+// and no way to select another, so within one process every scheduler's
+// factor is bitwise the sequential one. What faster micro-kernels change
+// is the grain the schedulers are compared at: on the AVX-512 block a
+// 128×128 gemm runs at about 1.25 times the rate of the earlier 8×8 one
+// and a trsm at about twice it, so a scheduler's per-task cost is that
+// much more of the solve.
 // Tiles that are not a multiple of 8 leave their m%8 last rows and n%4
 // last columns to a scalar path, which every scheduler runs alike.
 package cholesky
